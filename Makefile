@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench benchdiff tables ablations accuracy bank bank-durable conformance plan fuzz corpus chaos loadtest crashtest clean
+.PHONY: all build test vet race bench benchdiff tables ablations accuracy bank conformance plan fuzz corpus chaos loadtest crashtest clean
 
 all: build test
 
@@ -41,27 +41,19 @@ accuracy:
 	$(GO) run ./cmd/abnn2-bench -accuracy
 
 # Correlation-bank tier under the race detector: the bank's own unit
-# tests, the banked-vs-inline dual-execution equivalence suite (plus the
-# banked golden transcript), the bank chaos tests, and the offline/online
-# bench split.
+# tests (peer-paired draws and claims, the on-disk store's recovery and
+# claim journal, the replenisher), the serving-runtime and peer-banked
+# 40-seed equivalence sweeps, the per-backend planned pools and the
+# banked golden transcript, the bank chaos and offline-session suites
+# (peer pairing, crash single-use, link cuts), the serve-layer offline
+# handshake, admission and recovery gating, and the offline/online and
+# cold/warm bench checks.
 bank:
 	$(GO) test -race -count=1 ./internal/bank
-	$(GO) test -race -count=1 -run 'TestBanked|TestBankMatmul|TestGoldenSessionBanked' ./internal/testkit
-	$(GO) test -race -count=1 -run 'TestChaosBank' -v .
-	$(GO) test -count=1 -run 'TestTableBankSplit|TestBankBaselineFile' ./internal/bench
-
-# Durable-bank tier under the race detector: the on-disk store's
-# recovery/claim unit tests, the bank-over-store integration tests, the
-# remote offline replenishment suite (peer pairing, crash single-use,
-# link cuts), the serve-layer offline handshake and recovery gating, the
-# 40-seed peer-banked equivalence sweep, and the cold/warm durable bench
-# check.
-bank-durable:
-	$(GO) test -race -count=1 -run 'TestStore|TestScope|TestNewCorrID|TestBank|TestReplenisher' ./internal/bank
-	$(GO) test -race -count=1 -run 'TestRemoteOffline' -v .
-	$(GO) test -race -count=1 -run 'TestOffline|TestRecoveryGates|TestDrainFlushes' ./internal/serve
-	$(GO) test -race -count=1 -run 'TestPeerBankedEquivalenceSweep' ./internal/testkit
-	$(GO) test -count=1 -run 'TestTableBankDurable|TestBankDurableFile' ./internal/bench
+	$(GO) test -race -count=1 -run 'TestBanked|TestPeerBanked|TestBankMatmul|TestGoldenSessionBanked' ./internal/testkit
+	$(GO) test -race -count=1 -run 'TestChaosBank|TestRemoteOffline' -v .
+	$(GO) test -race -count=1 -run 'TestOffline|TestAdmissionCounts|TestRecoveryGates|TestDrainFlushes|TestServePlannedPeerBanked' ./internal/serve
+	$(GO) test -count=1 -run 'TestTableBankSplit|TestBankBaselineFile|TestTableBankDurable|TestBankDurableFile' ./internal/bench
 
 # Crash-recovery chaos: SIGKILL a race-built durable server mid-load,
 # restart it on the same store directory, and audit the claim journal
@@ -122,6 +114,7 @@ fuzz:
 	$(GO) test ./internal/gc -fuzz 'FuzzEvaluate$$' -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzTripletPayloadOneBatch -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzTripletPayloadMultiBatch -fuzztime 10s
+	$(GO) test ./internal/core -fuzz FuzzUnmarshalAnnouncement -fuzztime 10s
 	$(GO) test ./internal/baseot -fuzz 'FuzzReceive$$' -fuzztime 10s
 	$(GO) test ./internal/baseot -fuzz 'FuzzSend$$' -fuzztime 10s
 	$(GO) test ./internal/paillier -fuzz FuzzUnmarshalCiphertext -fuzztime 10s

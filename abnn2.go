@@ -27,7 +27,6 @@ package abnn2
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -104,41 +103,35 @@ type Config struct {
 	// with logs and metrics when one process runs many sessions. Purely
 	// local; 0 is a valid ID.
 	SessionID uint64
-	// Bank, when non-nil, provisions batches from precomputed correlation
-	// pools instead of running the offline phase on the request path. Both
-	// endpoints of a session must share the same *Bank instance (it is an
-	// in-process trusted dealer; see NewBank): the client Acquires its
-	// half and announces the correlation ID, the server Claims the paired
-	// half. Behaviour on a dry pool is set by OfflineMode.
+	// Bank, when non-nil, is this party's own correlation bank over its
+	// own recovered durable store (see NewBank), filled ahead of need by
+	// ReplenishSession/ServeOfflineSession. A client draws its stored half
+	// of a correlation generated with the BankPeer server and announces
+	// the correlation ID; the server claims its stored half of the same
+	// correlation. Behaviour on a dry pool is set by OfflineMode.
 	Bank *Bank
-	// OfflineMode selects inline vs banked offline provisioning; the zero
-	// value OfflineAuto prefers the bank and falls back inline. Ignored
-	// when Bank is nil (everything runs inline) except that OfflineBanked
-	// then fails validation on the client.
+	// OfflineMode selects how a batch without stored material is served;
+	// the zero value OfflineAuto runs the offline phase inline.
+	// OfflineBanked requires Bank.
 	OfflineMode OfflineMode
-	// BankModel is the model ID (from RegisterBankModel / BankModelID)
+	// BankModel is the model ID (from BankModelID or the serve handshake)
 	// the client keys its pool draws with. Client-side only: the server
 	// derives the ID from the model it serves. Required when Bank is set
-	// on a client and OfflineMode is not OfflineInline.
+	// on a client, and for ReplenishSession.
 	BankModel string
 	// BankPeer, on a client, is the serving peer's durable identity (the
-	// hex ID from the serve handshake). When set — which requires a Bank
-	// carrying a durable store — provisioning prefers the peer-paired
-	// pool filled by remote offline sessions with that server
-	// (ReplenishSession) over the in-process dealer pools, announcing
-	// correlations with this party's own peer ID so the server can claim
-	// the matching stored half. Empty disables peer-paired draws.
-	// Peer-paired pools hold all-ABNN2 material only, so a session with
-	// a Plan skips them and draws from the dealer pools (or falls back
-	// inline).
+	// hex ID from the serve handshake): the client draws from the pool it
+	// filled with that server and announces correlations with its own
+	// peer ID, under which the server stored its halves. Required when
+	// Bank is set on a client.
 	BankPeer string
 	// Plan, when non-nil, fixes the per-layer offline backend schedule.
-	// On a client it is proposed to the server in every batch
-	// announcement (one extra public flight) and executed by both
-	// parties; banked draws are keyed by the plan's fingerprint so
-	// pooled correlations always match the schedule. On a server it is a
-	// requirement: announced plans must be byte-identical to it and
-	// plan-less batches are rejected. A server without a Plan accepts
+	// On a client it rides inline in every batch announcement and is
+	// executed by both parties; banked draws are keyed by the plan's
+	// fingerprint, and ReplenishSession/ServeOfflineSession generate under
+	// it, so stored correlations always match the schedule. On a server
+	// it is a requirement: announced plans must be byte-identical to it
+	// and plan-less batches are rejected. A server without a Plan accepts
 	// any announced plan the model can execute. Plans never change
 	// prediction bits — only where offline cost is spent.
 	Plan *Plan
@@ -172,13 +165,36 @@ func (c Config) validate() error {
 	if c.OfflineMode == OfflineBanked && c.Bank == nil {
 		return fmt.Errorf("abnn2: OfflineBanked requires Config.Bank")
 	}
+	if c.Bank != nil && c.Bank.Store() == nil {
+		return fmt.Errorf("abnn2: Config.Bank requires a bank over a durable store")
+	}
 	if c.MiniONNKeyBits != 0 && (c.MiniONNKeyBits < 256 || c.MiniONNKeyBits > 4096) {
 		return fmt.Errorf("abnn2: MiniONNKeyBits %d outside [256,4096]", c.MiniONNKeyBits)
 	}
 	if c.Plan != nil && (len(c.Plan.Layers) == 0 || len(c.Plan.Layers) > plan.MaxLayers) {
 		return fmt.Errorf("abnn2: Plan has %d layers, want [1,%d]", len(c.Plan.Layers), plan.MaxLayers)
 	}
+	if c.Plan != nil && len(c.Plan.Marshal()) > core.MaxAnnouncedPlan {
+		return fmt.Errorf("abnn2: Plan frame exceeds %d bytes", core.MaxAnnouncedPlan)
+	}
 	return nil
+}
+
+// planSchedule validates Plan for arch at the given batch size and
+// lowers it: the core schedule and the bank backend its correlations are
+// keyed by (nil and the all-ABNN2 session backend without a plan).
+func (c Config) planSchedule(arch Arch, batch int) (core.Schedule, string, error) {
+	if c.Plan == nil {
+		return nil, bank.SessionBackend, nil
+	}
+	if err := c.Plan.Validate(arch, batch); err != nil {
+		return nil, "", fmt.Errorf("abnn2: %w", err)
+	}
+	sched, err := c.Plan.Schedule()
+	if err != nil {
+		return nil, "", fmt.Errorf("abnn2: %w", err)
+	}
+	return sched, bank.PlanBackend(c.Plan.Fingerprint()), nil
 }
 
 func (c Config) variant() core.ReLUVariant {
@@ -342,9 +358,10 @@ func (s *Server) Close() error { return s.sc.Close() }
 func (s *Server) Stats() Stats { return s.sc.Stats() }
 
 // HandleBatch serves one prediction batch: it receives the client's batch
-// announcement (size + output mode), runs the offline phase, then the
-// online phase. The announcement wait is idle time (no round deadline);
-// everything after it is deadline-bounded when RoundTimeout is set.
+// announcement (size, output finish, provisioning, plan), installs the
+// stored correlation or runs the offline phase, then the online phase.
+// The announcement wait is idle time (no round deadline); everything
+// after it is deadline-bounded when RoundTimeout is set.
 //
 // A client that hangs up between batches is a clean shutdown, reported
 // as io.EOF; a connection lost mid-batch is a protocol failure and
@@ -366,46 +383,27 @@ func (s *Server) HandleBatch() error {
 	isp.End(nil)
 	bsp := s.tr.Start("batch")
 	err = guard("handle batch", func() error {
-		// 5 bytes announce an inline batch; 13 bytes append a correlation
-		// ID and ask for dealer-banked provisioning; 29 bytes further
-		// append the client's peer ID and ask for a peer-paired half (see
-		// Client.provision).
-		if len(raw) != 5 && len(raw) != 13 && len(raw) != 29 {
-			return fmt.Errorf("abnn2: malformed batch announcement")
+		ann, err := core.UnmarshalAnnouncement(raw)
+		if err != nil {
+			return fmt.Errorf("abnn2: %w", err)
 		}
-		batch := int(uint32(raw[0]) | uint32(raw[1])<<8 | uint32(raw[2])<<16 | uint32(raw[3])<<24)
-		if batch <= 0 || batch > 1<<20 {
-			return fmt.Errorf("abnn2: batch size %d out of range", batch)
-		}
-		// The mode byte is a bit mask: bit 0 selects the argmax finish,
-		// bit 1 announces that a plan frame follows the announcement.
-		if raw[4] > announceArgmax|announcePlan {
-			return fmt.Errorf("abnn2: unknown output mode %d", raw[4])
-		}
-		argmax := raw[4]&announceArgmax != 0
-		bsp.SetBatch(batch)
-		if err := s.applyPlan(batch, raw[4]&announcePlan != 0); err != nil {
+		bsp.SetBatch(ann.Batch)
+		if err := s.applyPlan(ann.Batch, ann.Plan); err != nil {
 			return err
 		}
-		if len(raw) == 29 {
-			var peer bank.PeerID
-			copy(peer[:], raw[13:29])
-			if err := s.claimPeerCorr(batch, binary.LittleEndian.Uint64(raw[5:13]), peer); err != nil {
-				return err
-			}
-		} else if len(raw) == 13 {
-			if err := s.claimCorr(batch, binary.LittleEndian.Uint64(raw[5:13])); err != nil {
+		if ann.Banked {
+			if err := s.claimCorr(ann.Batch, ann.CorrID, ann.Peer); err != nil {
 				return err
 			}
 		} else {
 			if s.mode == OfflineBanked {
 				return fmt.Errorf("abnn2: inline batch announcement refused (server is OfflineBanked)")
 			}
-			if err := s.eng.Offline(batch); err != nil {
+			if err := s.eng.Offline(ann.Batch); err != nil {
 				return err
 			}
 		}
-		if argmax {
+		if ann.Argmax {
 			return s.eng.OnlineArgmax()
 		}
 		return s.eng.Online()
@@ -414,20 +412,14 @@ func (s *Server) HandleBatch() error {
 	return err
 }
 
-// Batch announcement mode-byte bits.
-const (
-	announceArgmax = 0x01 // private argmax finish
-	announcePlan   = 0x02 // a plan frame follows the announcement
-)
-
-// applyPlan consumes a batch's plan frame (when announced) and installs
-// the schedule on the engine; without one it restores the all-ABNN2
-// default. The frame is attacker-shaped bytes: it is strictly parsed,
-// checked against the server's configured plan (when one is required),
-// and validated against the model — layer count, backend applicability,
-// weight ranges — before any of it reaches the protocol.
-func (s *Server) applyPlan(batch int, planned bool) error {
-	if !planned {
+// applyPlan installs the batch's announced plan on the engine; without
+// one it restores the all-ABNN2 default. The plan bytes are
+// attacker-shaped: they are strictly parsed, checked against the
+// server's configured plan (when one is required), and validated
+// against the model — layer count, backend applicability, weight ranges
+// — before any of it reaches the protocol.
+func (s *Server) applyPlan(batch int, raw []byte) error {
+	if raw == nil {
 		if s.reqPlan != nil {
 			return fmt.Errorf("abnn2: batch announced without a plan, but this server requires one")
 		}
@@ -438,10 +430,6 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 			s.planned, s.planFP = false, ""
 		}
 		return nil
-	}
-	raw, err := s.sc.Recv()
-	if err != nil {
-		return fmt.Errorf("abnn2: recv plan frame: %w", err)
 	}
 	p, err := plan.Unmarshal(raw)
 	if err != nil {
@@ -464,68 +452,29 @@ func (s *Server) applyPlan(batch int, planned bool) error {
 	return nil
 }
 
-// claimCorr resolves a banked announcement: it claims the parked server
-// half for the announced correlation ID and installs it. Any failure —
-// no bank, inline-only policy, unknown/spent ID, a half from the wrong
-// pool — is a protocol error that fails the batch immediately; the
-// session never blocks waiting for material.
-func (s *Server) claimCorr(batch int, id uint64) (err error) {
-	ksp := s.tr.Start("bank").SetBatch(batch)
-	defer func() { ksp.End(err) }()
-	if s.bank == nil || s.mode == OfflineInline {
-		return fmt.Errorf("abnn2: client announced a banked batch but this server provisions inline")
-	}
-	key := s.claimKey(batch)
-	half, ok := s.bank.Claim(id, key)
-	if !ok {
-		return fmt.Errorf("abnn2: unknown or spent correlation ID for pool %v", key)
-	}
-	corr, good := half.(*core.ServerCorr)
-	if !good {
-		return fmt.Errorf("abnn2: pool %v holds %T, want a server correlation", key, half)
-	}
-	return s.eng.InstallCorr(corr)
-}
-
-// claimPeerCorr resolves a peer-banked announcement: it durably claims
-// the server half stored under the announcing client's peer ID (the
-// claim-journal entry lands before the half is installed, so the ID can
-// never back two batches even across a crash) and installs it. Any
-// failure fails the batch immediately, exactly like claimCorr.
-func (s *Server) claimPeerCorr(batch int, id uint64, peer bank.PeerID) (err error) {
+// claimCorr resolves a banked announcement: it durably claims the server
+// half stored under the announcing client's peer ID (the claim-journal
+// entry lands before the half is installed, so the ID can never back two
+// batches even across a crash) and installs it. The pool is the batch's
+// plan pool when a plan is active — stored correlations must have been
+// generated under the very schedule the batch runs. Any failure fails
+// the batch immediately; the session never blocks waiting for material.
+func (s *Server) claimCorr(batch int, id uint64, peer bank.PeerID) (err error) {
 	ksp := s.tr.Start("bank-peer").SetBatch(batch)
 	defer func() { ksp.End(err) }()
-	if s.bank == nil || s.mode == OfflineInline {
-		return fmt.Errorf("abnn2: client announced a peer-banked batch but this server provisions inline")
+	if s.bank == nil {
+		return fmt.Errorf("abnn2: client announced a banked batch but this server has no bank")
 	}
-	if s.bank.Store() == nil {
-		return fmt.Errorf("abnn2: client announced a peer-banked batch but this server has no durable store")
-	}
-	if s.planFP != "" {
-		// Peer-paired pools hold all-ABNN2 material; a planned batch
-		// announcing one is a protocol violation, not a fallback case.
-		return fmt.Errorf("abnn2: peer-banked announcement on a planned batch")
-	}
-	key := s.key
-	key.Batch = batch
-	corr, ok := s.bank.ClaimPeer(peer, id, key)
-	if !ok {
-		return fmt.Errorf("abnn2: unknown or spent peer correlation ID for pool %v", key)
-	}
-	return s.eng.InstallCorr(corr)
-}
-
-// claimKey is the pool key of the current batch: the session pool, or
-// the plan-fingerprinted pool when a schedule is active — banked
-// correlations must have been generated under the very schedule the
-// batch runs.
-func (s *Server) claimKey(batch int) BankKey {
 	key := s.key
 	key.Batch = batch
 	if s.planFP != "" {
 		key.Backend = bank.PlanBackend(s.planFP)
 	}
-	return key
+	corr, ok := s.bank.ClaimPeer(peer, id, key)
+	if !ok {
+		return fmt.Errorf("abnn2: unknown or spent peer correlation ID for pool %v", key)
+	}
+	return s.eng.InstallCorr(corr)
 }
 
 // Client is the data owner's endpoint.
@@ -540,12 +489,11 @@ type Client struct {
 	mode OfflineMode
 	key  BankKey // pool key template; Batch filled per request
 
-	hasPeer  bool
-	peer     bank.PeerID // the server's identity, keying local peer draws
+	peer     bank.PeerID // the server's identity, keying local draws
 	selfPeer bank.PeerID // this party's identity, announced to the server
 
 	plan    *Plan  // the proposed per-layer backend schedule, nil = all-ABNN2
-	planRaw []byte // its marshalled frame, appended to every announcement
+	planRaw []byte // its marshalled frame, carried by every announcement
 }
 
 // Dial performs the cryptographic setup for the client role. arch must
@@ -563,19 +511,19 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (*Client
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Bank != nil && cfg.OfflineMode != OfflineInline && cfg.BankModel == "" {
-		return nil, fmt.Errorf("abnn2: Config.Bank on a client requires Config.BankModel")
-	}
 	var peer BankPeerID
-	usePeer := cfg.BankPeer != "" && cfg.OfflineMode != OfflineInline && cfg.Plan == nil
-	if usePeer {
-		if cfg.Bank == nil || cfg.Bank.Store() == nil {
-			return nil, fmt.Errorf("abnn2: Config.BankPeer requires a bank with a durable store")
+	if cfg.Bank != nil {
+		if cfg.BankModel == "" || cfg.BankPeer == "" {
+			return nil, fmt.Errorf("abnn2: Config.Bank on a client requires Config.BankModel and Config.BankPeer")
 		}
-		var perr error
-		if peer, perr = bank.ParsePeerID(cfg.BankPeer); perr != nil {
-			return nil, perr
+		var err error
+		if peer, err = bank.ParsePeerID(cfg.BankPeer); err != nil {
+			return nil, err
 		}
+	}
+	sched, backend, err := cfg.planSchedule(arch, 1)
+	if err != nil {
+		return nil, err
 	}
 	scheme, err := quant.Parse(arch.SchemeName)
 	if err != nil {
@@ -597,16 +545,7 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (*Client
 	}
 	cl := &Client{eng: eng, sc: sc, tr: tr, arch: arch, rg: rg, frac: arch.Frac,
 		bank: cfg.Bank, mode: cfg.OfflineMode}
-	var sched core.Schedule
 	if cfg.Plan != nil {
-		if err := cfg.Plan.Validate(arch, 1); err != nil {
-			sc.release()
-			return nil, fmt.Errorf("abnn2: %w", err)
-		}
-		if sched, err = cfg.Plan.Schedule(); err != nil {
-			sc.release()
-			return nil, fmt.Errorf("abnn2: %w", err)
-		}
 		if err := eng.SetSchedule(sched); err != nil {
 			sc.release()
 			return nil, err
@@ -614,22 +553,9 @@ func DialContext(ctx context.Context, conn Conn, arch Arch, cfg Config) (*Client
 		cl.plan, cl.planRaw = cfg.Plan, cfg.Plan.Marshal()
 	}
 	if cfg.Bank != nil {
-		backend := bank.SessionBackend
-		if cfg.Plan != nil {
-			// Banked draws for a planned session come from pools keyed —
-			// and generated — under this exact schedule.
-			fp := cfg.Plan.Fingerprint()
-			backend = bank.PlanBackend(fp)
-			if err := cfg.Bank.RegisterSchedule(fp, sched, cfg.MiniONNKeyBits); err != nil {
-				sc.release()
-				return nil, err
-			}
-		}
 		cl.key = BankKey{Model: cfg.BankModel, Scheme: arch.SchemeName,
 			RingBits: cfg.ringBits(), Backend: backend}
-	}
-	if usePeer {
-		cl.hasPeer, cl.peer, cl.selfPeer = true, peer, cfg.Bank.Store().PeerID()
+		cl.peer, cl.selfPeer = peer, cfg.Bank.Store().PeerID()
 	}
 	return cl, nil
 }
@@ -675,7 +601,7 @@ func (c *Client) ClassifyPrivate(inputs [][]float64) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.provision(len(inputs), 1); err != nil {
+		if err := c.provision(len(inputs), true); err != nil {
 			return nil, err
 		}
 		return c.eng.PredictArgmax(X)
@@ -693,7 +619,7 @@ func (c *Client) Infer(inputs [][]float64) (*ring.Mat, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.provision(len(inputs), 0); err != nil {
+		if err := c.provision(len(inputs), false); err != nil {
 			return nil, err
 		}
 		return c.eng.Predict(X)
@@ -721,40 +647,14 @@ func (c *Client) encodeBatch(inputs [][]float64) (*ring.Mat, error) {
 	return X, nil
 }
 
-func (c *Client) announce(batch int, mode byte) error {
-	ann := []byte{byte(batch), byte(batch >> 8), byte(batch >> 16), byte(batch >> 24), c.modeBits(mode)}
-	if err := c.sc.Send(ann); err != nil {
-		return err
-	}
-	return c.sendPlan()
-}
-
-// modeBits folds the plan-follows bit into an announcement's mode byte.
-func (c *Client) modeBits(mode byte) byte {
-	if c.planRaw != nil {
-		mode |= announcePlan
-	}
-	return mode
-}
-
-// sendPlan appends the session's plan frame to an announcement. The
-// frame depends only on public configuration, never on inputs, so its
-// shape leaks nothing (the golden-transcript suite pins this).
-func (c *Client) sendPlan() error {
-	if c.planRaw == nil {
-		return nil
-	}
-	return c.sc.Send(c.planRaw)
-}
-
 // provision readies one batch's offline material and announces the batch
-// to the server. With a bank configured it tries to draw a correlation
-// pair first: on a hit it installs the client half and announces the
-// correlation ID (13-byte announcement) so the server claims the paired
-// half; on a dry pool it falls back to the inline offline phase
-// (OfflineAuto) or fails fast (OfflineBanked) — it never waits for the
-// pool to fill.
-func (c *Client) provision(batch int, mode byte) error {
+// to the server. With a bank configured it first draws a stored
+// correlation generated with this server: on a hit it installs the
+// client half and announces the correlation ID so the server claims the
+// matching half; on a dry pool it falls back to the inline offline
+// phase (OfflineAuto) or fails fast (OfflineBanked) — it never waits for
+// the pool to fill.
+func (c *Client) provision(batch int, argmax bool) error {
 	if c.plan != nil {
 		// Batch size changes backend applicability (QUOTIENT is o=1
 		// only), so the plan revalidates per batch before it is
@@ -763,85 +663,29 @@ func (c *Client) provision(batch int, mode byte) error {
 			return fmt.Errorf("abnn2: %w", err)
 		}
 	}
-	if c.bank != nil && c.mode != OfflineInline {
+	ann := core.Announcement{Batch: batch, Argmax: argmax, Plan: c.planRaw}
+	if c.bank != nil {
 		key := c.key
 		key.Batch = batch
-		// Peer-paired pool first: material this client generated with this
-		// very server over the real wire, no dealer trust involved.
-		if c.hasPeer {
-			psp := c.tr.Start("bank-peer").SetBatch(batch)
-			if id, corr, ok := c.bank.AcquirePeer(c.peer, key); ok {
-				err := c.eng.InstallCorr(corr)
-				psp.End(err)
-				if err != nil {
-					return err
-				}
-				return c.announcePeerBanked(batch, mode, id)
-			}
-			psp.End(nil)
-		}
-		bsp := c.tr.Start("bank").SetBatch(batch)
-		id, half, ok := c.bank.Acquire(key)
-		if ok {
-			err := c.installCorr(key, id, half)
-			bsp.End(err)
+		sp := c.tr.Start("bank-peer").SetBatch(batch)
+		if id, corr, ok := c.bank.AcquirePeer(c.peer, key); ok {
+			err := c.eng.InstallCorr(corr)
+			sp.End(err)
 			if err != nil {
 				return err
 			}
-			return c.announceBanked(batch, mode, id)
+			ann.Banked, ann.CorrID, ann.Peer = true, id, c.selfPeer
+			return c.sc.Send(ann.Marshal())
 		}
 		if c.mode == OfflineBanked {
 			err := fmt.Errorf("%w: pool %v (OfflineBanked forbids inline fallback)", ErrBankDry, key)
-			bsp.End(err)
+			sp.End(err)
 			return err
 		}
-		bsp.End(nil)
+		sp.End(nil)
 	}
-	if err := c.announce(batch, mode); err != nil {
+	if err := c.sc.Send(ann.Marshal()); err != nil {
 		return err
 	}
 	return c.eng.Offline(batch)
-}
-
-// installCorr arms the engine with an acquired client half. On failure
-// the parked server half is discarded too (claimed and dropped), so a
-// broken pool entry cannot linger until eviction.
-func (c *Client) installCorr(key BankKey, id uint64, half any) error {
-	corr, good := half.(*core.ClientCorr)
-	if !good {
-		c.bank.Claim(id, key)
-		return fmt.Errorf("abnn2: pool %v holds %T, want a client correlation", key, half)
-	}
-	if err := c.eng.InstallCorr(corr); err != nil {
-		c.bank.Claim(id, key)
-		return err
-	}
-	return nil
-}
-
-// announceBanked is announce plus the correlation ID the server claims
-// its half with.
-func (c *Client) announceBanked(batch int, mode byte, id uint64) error {
-	ann := make([]byte, 13)
-	ann[0], ann[1], ann[2], ann[3] = byte(batch), byte(batch>>8), byte(batch>>16), byte(batch>>24)
-	ann[4] = c.modeBits(mode)
-	binary.LittleEndian.PutUint64(ann[5:], id)
-	if err := c.sc.Send(ann); err != nil {
-		return err
-	}
-	return c.sendPlan()
-}
-
-// announcePeerBanked is announceBanked plus this client's own peer ID,
-// under which the server stored its half of the announced correlation.
-func (c *Client) announcePeerBanked(batch int, mode byte, id uint64) error {
-	ann := make([]byte, 29)
-	ann[0], ann[1], ann[2], ann[3] = byte(batch), byte(batch>>8), byte(batch>>16), byte(batch>>24)
-	ann[4] = c.modeBits(mode)
-	binary.LittleEndian.PutUint64(ann[5:13], id)
-	copy(ann[13:29], c.selfPeer[:])
-	if err := c.sc.Send(ann); err != nil {
-		return err
-	}
-	return c.sendPlan()
 }

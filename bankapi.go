@@ -1,17 +1,16 @@
 package abnn2
 
-// Correlation-bank facade: the offline precompute service in
-// internal/bank, re-exported for users of the public API. A bank
-// pre-generates each session's data-independent material (OT-extension
-// flights, per-layer matmul triplets, the client's future shares) off the
-// request path; sessions configured with Config.Bank then draw a
-// correlation pair instead of running the offline phase inline, so the
-// online phase is round-trips plus matmul only.
-//
-// The bank is an in-process trusted dealer: both endpoints of a banked
-// session must share the same *Bank instance (one process, or a load
-// harness driving its own server). See DESIGN.md, "Offline correlation
-// bank", for the security argument and the single-use guarantee.
+// Correlation-bank facade: the offline precompute store in
+// internal/bank, re-exported for users of the public API. A client and a
+// server generate correlations together ahead of need — the genuine
+// two-party offline protocol, run by ReplenishSession against
+// ServeOfflineSession — and each party durably stores its own half of
+// every correlation (OT-extension flights, per-layer matmul triplets,
+// the client's future shares) in its own Bank. Sessions configured with
+// Config.Bank then install a stored half instead of running the offline
+// phase inline, so the online phase is round-trips plus matmul only.
+// See DESIGN.md, "Offline correlation bank", for the single-use
+// guarantee.
 
 import (
 	"errors"
@@ -21,49 +20,36 @@ import (
 
 // ErrBankDry reports that a session required banked provisioning
 // (OfflineBanked) and found its correlation pool empty. It is a
-// retryable condition — the miss itself triggers background
-// replenishment, so a caller that backs off briefly and retries the
-// batch will usually find the pool warm. Test with errors.Is.
+// retryable condition — a BankReplenisher refills the pool in the
+// background, so a caller that backs off briefly and retries the batch
+// will usually find it warm. Test with errors.Is.
 var ErrBankDry = errors.New("abnn2: correlation pool dry")
 
-// BankSessionBackend is the BankKey.Backend under which full-session
-// correlation pools live — the pools Config.Bank sessions draw from.
-// Pools registered through RegisterBankProducer-style custom backends
-// must use a different name.
+// BankSessionBackend is the BankKey.Backend of all-ABNN2 session pools;
+// pools generated under a per-layer Plan are keyed by its fingerprint
+// instead.
 const BankSessionBackend = bank.SessionBackend
 
-// Bank is a correlation precompute service; see NewBank.
+// Bank is one party's peer-paired correlation pools over its durable
+// store; see NewBank.
 type Bank = bank.Bank
 
-// BankOptions sizes and instruments a Bank: pool capacity, low-watermark
-// refill trigger, generation parallelism, deterministic seeding, tracing
-// and metrics hooks.
+// BankOptions sizes and instruments a Bank: its store, per-peer pool
+// capacity, replenishment watermark and metrics observer.
 type BankOptions = bank.Options
 
 // BankKey identifies one correlation pool: (model, scheme, ring width,
 // batch, backend).
 type BankKey = bank.Key
 
-// BankStats is a snapshot of bank counters and pool depths.
-type BankStats = bank.Stats
-
-// NewBank returns an empty correlation bank. Register the served models
-// with RegisterBankModel, hand the bank to both endpoints via
-// Config.Bank, and optionally Prewarm the pools you expect traffic on;
-// pools touched cold warm themselves in the background.
+// NewBank returns a bank over opts.Store, which must have completed
+// Recover. Fill it with ReplenishSession (client) or ServeOfflineSession
+// (server) and hand it to this party's endpoint via Config.Bank.
 func NewBank(opts BankOptions) *Bank { return bank.New(opts) }
 
-// RegisterBankModel makes a model's correlation pools available and
-// returns the model ID that clients set as Config.BankModel. The ID is a
-// digest of the (public) quantized model description, so any party can
-// derive it independently; the server derives its own from the model it
-// serves.
-func RegisterBankModel(b *Bank, q *QuantizedModel) (string, error) {
-	return b.RegisterModel(q.qm)
-}
-
-// BankModelID computes the bank identity of a model without registering
-// it anywhere.
+// BankModelID computes the bank identity of a model: a digest of its
+// public description, so both parties derive it independently. Clients
+// set it as Config.BankModel; the serve handshake also reports it.
 func BankModelID(q *QuantizedModel) (string, error) {
 	return bank.ModelID(q.qm)
 }
@@ -120,9 +106,6 @@ const (
 	// and falls back to inline offline generation when the pool is dry or
 	// no bank is configured. The default.
 	OfflineAuto OfflineMode = iota
-	// OfflineInline always runs the offline phase inline, ignoring any
-	// configured bank.
-	OfflineInline
 	// OfflineBanked requires the bank: a dry pool (client) or an inline
 	// announcement (server) fails the batch immediately instead of
 	// falling back. Use it to keep latency-critical serving off the
@@ -134,8 +117,6 @@ func (m OfflineMode) String() string {
 	switch m {
 	case OfflineAuto:
 		return "auto"
-	case OfflineInline:
-		return "inline"
 	case OfflineBanked:
 		return "banked"
 	}

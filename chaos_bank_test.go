@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"abnn2/internal/core"
 )
 
 // Bank chaos suite: banked provisioning under hostile conditions — dry
@@ -16,42 +18,41 @@ import (
 // transport chaos tests enforce: a session either completes correctly
 // or returns an error promptly; nothing hangs, nothing leaks.
 
-// chaosBank builds a bank over the chaos model, returning the bank, the
-// registered model ID, and the pool key for the given batch size.
-func chaosBank(t *testing.T, qm *QuantizedModel, opts BankOptions) (*Bank, string, func(batch int) BankKey) {
+// chaosBanks returns a server and a client party whose peer pools hold
+// stocked batch-2 correlations, each pool capped at capacity.
+func chaosBanks(t *testing.T, qm *QuantizedModel, capacity, stocked int) (srv, cli *durableParty) {
 	t.Helper()
-	if opts.Seed == 0 {
-		opts.Seed = 0xC0A5
+	srv = newDurableParty(t, t.TempDir(), capacity)
+	cli = newDurableParty(t, t.TempDir(), capacity)
+	if stocked > 0 {
+		if got := replenishPair(t, qm, srv, cli, 2, stocked); got != stocked {
+			t.Fatalf("replenished %d correlations, want %d", got, stocked)
+		}
 	}
-	b := NewBank(opts)
-	id, err := RegisterBankModel(b, qm)
-	if err != nil {
-		b.Close()
-		t.Fatalf("register bank model: %v", err)
-	}
-	return b, id, func(batch int) BankKey {
-		return BankKey{Model: id, Scheme: qm.Scheme(), RingBits: 32,
-			Batch: batch, Backend: BankSessionBackend}
-	}
+	return srv, cli
 }
 
-// TestChaosBankDryPool: a cold pool under OfflineBanked must fail the
+// modeConfigs is peerConfigs under the given offline mode on both sides,
+// with a per-session client seed.
+func modeConfigs(t *testing.T, qm *QuantizedModel, srv, cli *durableParty, mode OfflineMode, seed uint64) (Config, Config) {
+	t.Helper()
+	scfg, ccfg := peerConfigs(t, qm, srv, cli)
+	scfg.OfflineMode, ccfg.OfflineMode, ccfg.Seed = mode, mode, seed
+	return scfg, ccfg
+}
+
+// TestChaosBankDryPool: an empty pool under OfflineBanked must fail the
 // batch immediately — and under OfflineAuto must fall back to the
-// inline offline phase and still classify correctly. Either way the
-// background warm-up the misses kicked off dies with Close.
+// inline offline phase and still classify correctly.
 func TestChaosBankDryPool(t *testing.T) {
 	qm := chaosModel(t)
 	time.Sleep(20 * time.Millisecond)
 	base := runtime.NumGoroutine()
 
 	t.Run("banked-errors", func(t *testing.T) {
-		b, id, _ := chaosBank(t, qm, BankOptions{Capacity: 2})
-		defer b.Close()
+		srv, cli := chaosBanks(t, qm, 2, 0)
+		scfg, ccfg := modeConfigs(t, qm, srv, cli, OfflineBanked, 77)
 		sconn, cconn := Pipe()
-		scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-			Bank: b, OfflineMode: OfflineBanked}
-		ccfg := Config{RingBits: 32, Seed: 77, RoundTimeout: chaosRoundTimeout,
-			Bank: b, OfflineMode: OfflineBanked, BankModel: id}
 		srvErr, cliErr, _ := runParties(t, qm, sconn, cconn, scfg, ccfg)
 		if cliErr == nil {
 			t.Fatal("dry pool under OfflineBanked completed a batch")
@@ -66,13 +67,9 @@ func TestChaosBankDryPool(t *testing.T) {
 	})
 
 	t.Run("auto-falls-back", func(t *testing.T) {
-		b, id, _ := chaosBank(t, qm, BankOptions{Capacity: 2})
-		defer b.Close()
+		srv, cli := chaosBanks(t, qm, 2, 0)
+		scfg, ccfg := modeConfigs(t, qm, srv, cli, OfflineAuto, 78)
 		sconn, cconn := Pipe()
-		scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-			Bank: b, OfflineMode: OfflineAuto}
-		ccfg := Config{RingBits: 32, Seed: 78, RoundTimeout: chaosRoundTimeout,
-			Bank: b, OfflineMode: OfflineAuto, BankModel: id}
 		srvErr, cliErr, classes := runParties(t, qm, sconn, cconn, scfg, ccfg)
 		if srvErr != nil || cliErr != nil {
 			t.Fatalf("auto fallback failed: server=%v client=%v", srvErr, cliErr)
@@ -88,8 +85,8 @@ func TestChaosBankDryPool(t *testing.T) {
 }
 
 // forgeIDConn corrupts the first banked announcement it carries: the
-// correlation ID of the 13-byte flight is flipped, simulating a client
-// claiming a correlation it never drew.
+// correlation ID is flipped, simulating a client claiming a correlation
+// it never drew.
 type forgeIDConn struct {
 	Conn
 	mu    sync.Mutex
@@ -98,11 +95,10 @@ type forgeIDConn struct {
 
 func (c *forgeIDConn) Send(msg []byte) error {
 	c.mu.Lock()
-	if !c.fired && len(msg) == 13 {
+	if ann, err := core.UnmarshalAnnouncement(msg); !c.fired && err == nil && ann.Banked {
 		c.fired = true
-		forged := append([]byte(nil), msg...)
-		forged[5] ^= 0xFF // low byte of the correlation ID
-		msg = forged
+		ann.CorrID ^= 0xFF
+		msg = ann.Marshal()
 	}
 	c.mu.Unlock()
 	return c.Conn.Send(msg)
@@ -116,24 +112,17 @@ func (c *forgeIDConn) Fired() bool {
 
 // TestChaosBankForgedCorrelationID: a tampered announcement must be
 // rejected by the server as an unknown correlation — an immediate
-// protocol error on both sides, never a hang, and the honestly parked
+// protocol error on both sides, never a hang — and the honestly stored
 // server half stays claimable by nobody but its owner.
 func TestChaosBankForgedCorrelationID(t *testing.T) {
 	qm := chaosModel(t)
 	time.Sleep(20 * time.Millisecond)
 	base := runtime.NumGoroutine()
 
-	b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 1})
-	defer b.Close()
-	if err := b.Prewarm(keyFor(2), 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
+	srv, cli := chaosBanks(t, qm, 1, 1)
+	scfg, ccfg := modeConfigs(t, qm, srv, cli, OfflineBanked, 79)
 	sconn, cconn := Pipe()
 	forged := &forgeIDConn{Conn: cconn}
-	scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-		Bank: b, OfflineMode: OfflineBanked}
-	ccfg := Config{RingBits: 32, Seed: 79, RoundTimeout: chaosRoundTimeout,
-		Bank: b, OfflineMode: OfflineBanked, BankModel: id}
 	srvErr, cliErr, _ := runParties(t, qm, sconn, forged, scfg, ccfg)
 	if !forged.Fired() {
 		t.Fatal("no banked announcement crossed the wire")
@@ -147,79 +136,99 @@ func TestChaosBankForgedCorrelationID(t *testing.T) {
 	if cliErr == nil {
 		t.Error("client completed a batch the server rejected")
 	}
+	key := bankSessionKeyForTest(t, qm, 2)
+	if d := srv.bank.PeerDepth(cli.store.PeerID(), key); d != 1 {
+		t.Errorf("server pool depth %d after the forged claim, want the honest half still stored", d)
+	}
 	settleGoroutines(t, base, "forged correlation ID")
 }
 
-// TestChaosBankCloseMidReplenish: with Low = Capacity every draw leaves
-// the pool below its watermark, so a refill is guaranteed to be running
-// when Close lands. Close must cancel the in-flight generator pair and
-// return promptly, leaving no goroutines behind.
+// TestChaosBankCloseMidReplenish: closing the client's bank while a
+// replenishment session is generating must stop the session promptly
+// with an error — the next half cannot be stored — and leave no
+// goroutines behind on either side.
 func TestChaosBankCloseMidReplenish(t *testing.T) {
 	qm := chaosModel(t)
 	time.Sleep(20 * time.Millisecond)
 	base := runtime.NumGoroutine()
 
-	b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 8, Low: 8})
-	if err := b.Prewarm(keyFor(2), 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	const n = 64
+	srv, cli := chaosBanks(t, qm, n, 0)
+	id, err := BankModelID(qm)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sconn, cconn := Pipe()
-	scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-		Bank: b, OfflineMode: OfflineBanked}
-	ccfg := Config{RingBits: 32, Seed: 80, RoundTimeout: chaosRoundTimeout,
-		Bank: b, OfflineMode: OfflineBanked, BankModel: id}
-	srvErr, cliErr, classes := runParties(t, qm, sconn, cconn, scfg, ccfg)
-	if srvErr != nil || cliErr != nil {
-		t.Fatalf("banked run failed: server=%v client=%v", srvErr, cliErr)
+	srvErr := make(chan error, 1)
+	go func() {
+		err := ServeOfflineSession(context.Background(), sconn, qm,
+			Config{RingBits: 32, RoundTimeout: chaosRoundTimeout, Bank: srv.bank}, cli.store.PeerID())
+		sconn.Close()
+		srvErr <- err
+	}()
+	type result struct {
+		got int
+		err error
 	}
-	for k, x := range chaosInputs(2) {
-		if classes[k] != qm.Predict(x) {
-			t.Errorf("banked run misclassified input %d", k)
+	rep := make(chan result, 1)
+	go func() {
+		got, err := ReplenishSession(context.Background(), cconn, qm.Arch(),
+			Config{RingBits: 32, Seed: 80, RoundTimeout: chaosRoundTimeout, Bank: cli.bank, BankModel: id},
+			srv.store.PeerID(), 2, n)
+		cconn.Close()
+		rep <- result{got, err}
+	}()
+	key := bankSessionKeyForTest(t, qm, 2)
+	deadline := time.Now().Add(chaosWatchdog)
+	for cli.bank.PeerDepth(srv.store.PeerID(), key) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no correlation landed before the watchdog")
 		}
+		time.Sleep(time.Millisecond)
 	}
-	// The draw above left depth 0 < Low 8: replenishment is in flight.
-	closed := make(chan error, 1)
-	go func() { closed <- b.Close() }()
+	if err := cli.bank.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
 	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("close: %v", err)
+	case r := <-rep:
+		if r.err == nil || r.got >= n {
+			t.Fatalf("replenishment ran on after Close: got %d of %d, err %v", r.got, n, r.err)
 		}
 	case <-time.After(chaosWatchdog):
 		buf := make([]byte, 1<<20)
-		n := runtime.Stack(buf, true)
-		t.Fatalf("Close hung on in-flight replenishment:\n%s", buf[:n])
+		k := runtime.Stack(buf, true)
+		t.Fatalf("replenishment hung after Close:\n%s", buf[:k])
+	}
+	select {
+	case <-srvErr: // any outcome, as long as it returns
+	case <-time.After(chaosWatchdog):
+		t.Fatal("offline server hung after the client's bank closed")
 	}
 	settleGoroutines(t, base, "close mid-replenish")
 }
 
-// TestChaosBankConcurrentDrain: several OfflineAuto sessions race a
-// Drain + Close. Sessions that draw before the close use the bank;
-// sessions that lose the race fall back inline — every one must finish
-// correctly, and the shutdown must not deadlock against live Acquires.
+// TestChaosBankConcurrentDrain: several OfflineAuto sessions race the
+// client bank's Close and a flush of the server's claim journal.
+// Sessions that draw before the close use stored correlations; sessions
+// that lose the race fall back inline — every one must finish correctly,
+// and the shutdown must not deadlock against live draws and claims.
 func TestChaosBankConcurrentDrain(t *testing.T) {
 	qm := chaosModel(t)
 	time.Sleep(20 * time.Millisecond)
 	base := runtime.NumGoroutine()
 
-	b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 2})
-	if err := b.Prewarm(keyFor(2), 2); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
+	srv, cli := chaosBanks(t, qm, 2, 2)
 	const sessions = 3
 	var wg sync.WaitGroup
 	errs := make([]error, 2*sessions)
 	misses := make([][]int, sessions)
 	for i := 0; i < sessions; i++ {
 		i := i
+		scfg, ccfg := modeConfigs(t, qm, srv, cli, OfflineAuto, 90+uint64(i))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sconn, cconn := Pipe()
-			scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-				Bank: b, OfflineMode: OfflineAuto}
-			ccfg := Config{RingBits: 32, Seed: 90 + uint64(i), RoundTimeout: chaosRoundTimeout,
-				Bank: b, OfflineMode: OfflineAuto, BankModel: id}
 			srvErr, cliErr, classes := runParties(t, qm, sconn, cconn, scfg, ccfg)
 			errs[2*i], errs[2*i+1] = srvErr, cliErr
 			if cliErr == nil {
@@ -231,15 +240,13 @@ func TestChaosBankConcurrentDrain(t *testing.T) {
 			}
 		}()
 	}
-	// Shut the bank down while the sessions are mid-provision.
+	// Shut the client's bank down while the sessions are mid-provision.
 	time.Sleep(5 * time.Millisecond)
-	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	drainErr := b.Drain(dctx)
-	cancel()
-	closeErr := b.Close()
+	syncErr := srv.store.Sync()
+	closeErr := cli.bank.Close()
 	wg.Wait()
-	if drainErr != nil {
-		t.Errorf("drain: %v", drainErr)
+	if syncErr != nil {
+		t.Errorf("journal flush: %v", syncErr)
 	}
 	if closeErr != nil {
 		t.Errorf("close: %v", closeErr)
@@ -258,10 +265,10 @@ func TestChaosBankConcurrentDrain(t *testing.T) {
 }
 
 // TestChaosBankDryConcurrent: N parallel strict-banked sessions race a
-// capacity-1 pool. Each session must either complete correctly (it won
-// the draw, or a miss-triggered refill landed in time) or fail with the
-// typed ErrBankDry — never hang, never leak. The same race under
-// OfflineAuto must complete every session via inline fallback.
+// one-deep pool. Each session must either complete correctly (it won the
+// draw) or fail with the typed ErrBankDry — never hang, never leak. The
+// same race under OfflineAuto must complete every session via inline
+// fallback.
 func TestChaosBankDryConcurrent(t *testing.T) {
 	qm := chaosModel(t)
 	time.Sleep(20 * time.Millisecond)
@@ -270,24 +277,17 @@ func TestChaosBankDryConcurrent(t *testing.T) {
 	const sessions = 4
 
 	t.Run("banked-typed-error-or-success", func(t *testing.T) {
-		b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 1})
-		defer b.Close()
-		if err := b.Prewarm(keyFor(2), 1); err != nil {
-			t.Fatalf("prewarm: %v", err)
-		}
+		srv, cli := chaosBanks(t, qm, 1, 1)
 		var wg sync.WaitGroup
 		cliErrs := make([]error, sessions)
 		classes := make([][]int, sessions)
 		for i := 0; i < sessions; i++ {
 			i := i
+			scfg, ccfg := modeConfigs(t, qm, srv, cli, OfflineBanked, 300+uint64(i))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				sconn, cconn := Pipe()
-				scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-					Bank: b, OfflineMode: OfflineBanked}
-				ccfg := Config{RingBits: 32, Seed: 300 + uint64(i), RoundTimeout: chaosRoundTimeout,
-					Bank: b, OfflineMode: OfflineBanked, BankModel: id}
 				_, cliErrs[i], classes[i] = runParties(t, qm, sconn, cconn, scfg, ccfg)
 			}()
 		}
@@ -309,29 +309,22 @@ func TestChaosBankDryConcurrent(t *testing.T) {
 				t.Errorf("session %d failed without the typed dry error: %v", i, err)
 			}
 		}
-		if completed == 0 {
-			t.Error("no session won the prewarmed correlation")
+		if completed != 1 {
+			t.Errorf("%d sessions completed on one stored correlation, want exactly 1", completed)
 		}
 	})
 
 	t.Run("auto-all-succeed", func(t *testing.T) {
-		b, id, keyFor := chaosBank(t, qm, BankOptions{Capacity: 1})
-		defer b.Close()
-		if err := b.Prewarm(keyFor(2), 1); err != nil {
-			t.Fatalf("prewarm: %v", err)
-		}
+		srv, cli := chaosBanks(t, qm, 1, 1)
 		var wg sync.WaitGroup
 		errs := make([]error, 2*sessions)
 		for i := 0; i < sessions; i++ {
 			i := i
+			scfg, ccfg := modeConfigs(t, qm, srv, cli, OfflineAuto, 400+uint64(i))
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				sconn, cconn := Pipe()
-				scfg := Config{RingBits: 32, RoundTimeout: chaosRoundTimeout,
-					Bank: b, OfflineMode: OfflineAuto}
-				ccfg := Config{RingBits: 32, Seed: 400 + uint64(i), RoundTimeout: chaosRoundTimeout,
-					Bank: b, OfflineMode: OfflineAuto, BankModel: id}
 				var classes []int
 				errs[2*i], errs[2*i+1], classes = runParties(t, qm, sconn, cconn, scfg, ccfg)
 				if errs[2*i+1] == nil {

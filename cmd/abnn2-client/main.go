@@ -12,9 +12,9 @@
 // once admitted.
 //
 // With -bank-dir the client keeps a durable correlation store of its
-// own: -prefetch N first runs a remote offline-replenishment session
-// against the server — the genuine two-party offline protocol, no
-// dealer — persisting N peer-paired client halves, and the inference
+// own: -prefetch N first runs an offline-replenishment session against
+// the server — the genuine two-party offline protocol — persisting N
+// peer-paired client halves, and the inference
 // session then provisions each batch from that store (announcing the
 // stored correlation id) instead of running the offline phase inline.
 // Prefetched material survives restarts and stays bound to the server
@@ -63,9 +63,10 @@ func main() {
 		os.Exit(1)
 	}
 	if *planFlag != "" && *prefetch > 0 {
-		// Peer-paired pools hold all-ABNN2 material; a planned session
-		// cannot draw from them.
-		logger.Error("-plan cannot be combined with -prefetch (peer-paired pools are all-ABNN2)")
+		// The plan is chosen from the architecture the inference handshake
+		// returns, after prefetching; replenishing a plan's pools needs the
+		// plan in the offline hello (serve.DialOffline).
+		logger.Error("-plan cannot be combined with -prefetch")
 		os.Exit(1)
 	}
 
@@ -101,7 +102,7 @@ func main() {
 		logger.Info("bank store recovered", "dir", *bankDir, "peer", store.PeerID().String(),
 			"records", rstats.Records, "claimed", rstats.Claimed,
 			"torn_tails", rstats.TornTails, "quarantined", rstats.Quarantined)
-		cbank = abnn2.NewBank(abnn2.BankOptions{Capacity: *prefetch, Workers: *workers, Store: store})
+		cbank = abnn2.NewBank(abnn2.BankOptions{Capacity: *prefetch, Store: store})
 		defer cbank.Close()
 	}
 
@@ -130,7 +131,7 @@ func main() {
 	// long as the process lives.
 	if *prefetch > 0 {
 		octx, ocancel := context.WithTimeout(context.Background(), *dialTimeout)
-		oconn, oinfo, err := serve.DialOffline(octx, *addr, *model, store.PeerID().String())
+		oconn, oinfo, err := serve.DialOffline(octx, *addr, *model, store.PeerID().String(), nil)
 		if err != nil {
 			dialFailed("offline session", err)
 		}
@@ -170,7 +171,7 @@ func main() {
 			Run: func(ctx context.Context, key abnn2.BankKey, n int) (int, error) {
 				rctx, cancel := context.WithTimeout(ctx, *dialTimeout)
 				defer cancel()
-				rconn, rinfo, err := serve.DialOffline(rctx, *addr, *model, store.PeerID().String())
+				rconn, rinfo, err := serve.DialOffline(rctx, *addr, *model, store.PeerID().String(), nil)
 				if err != nil {
 					return 0, err
 				}

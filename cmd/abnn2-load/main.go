@@ -15,7 +15,10 @@
 // -tenants small synthetic models (or the one model given with -model),
 // an optional correlation bank (-bank-capacity), and a bounded admission
 // controller (-max-sessions) — thousands of clients are then pipe pairs,
-// no sockets needed. TCP mode (-connect) exercises a real server
+// no sockets needed. With a bank, the server and one client party each
+// keep a durable store in a temporary directory; the clients share the
+// client party, whose replenisher keeps every model's pool stocked
+// through the runtime's offline handshake. TCP mode (-connect) exercises a real server
 // end-to-end, including DialTCP's jittered backoff.
 //
 // Usage:
@@ -31,6 +34,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -38,7 +42,6 @@ import (
 	"time"
 
 	"abnn2"
-	"abnn2/internal/bank"
 	"abnn2/internal/metrics"
 	"abnn2/internal/serve"
 )
@@ -58,8 +61,8 @@ func main() {
 	workers := flag.Int("workers", 1, "worker goroutines per session kernel")
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline")
 	maxSessions := flag.Int("max-sessions", 0, "embedded runtime admission capacity (0 = CPU-derived)")
-	bankCap := flag.Int("bank-capacity", 0, "embedded runtime correlation pool capacity (0 = bank off)")
-	offline := flag.String("offline", "auto", "embedded runtime offline mode: auto, inline, banked")
+	bankCap := flag.Int("bank-capacity", 0, "embedded runtime: stored correlations per model, kept stocked by the shared client party (0 = bank off)")
+	offline := flag.String("offline", "auto", "embedded runtime offline mode: auto, banked")
 	dialTimeout := flag.Duration("dial-timeout", 30*time.Second, "per-connect budget including admission retries")
 	requireHints := flag.Bool("require-hints", false, "exit non-zero if any retryable rejection lacked a retry-after hint")
 	seed := flag.Uint64("seed", 11, "synthetic input seed")
@@ -106,7 +109,7 @@ func main() {
 		}
 		fmt.Printf("mode=tcp addr=%s clients=%d\n", addr, *clients)
 	} else {
-		rt, bankIDs, cleanup, err := embeddedRuntime(logger, *modelPath, *tenants, ccfg,
+		rt, cliBank, cleanup, err := embeddedRuntime(logger, *modelPath, *tenants, ccfg,
 			*maxSessions, *bankCap, *batch, mode)
 		if err != nil {
 			logger.Error("embedded runtime", "err", err)
@@ -121,17 +124,19 @@ func main() {
 			names = rt.Registry().Names()
 		}
 		dial = func(ctx context.Context, i int) (abnn2.Conn, abnn2.Arch, abnn2.Config, error) {
-			name := pick(names, i)
-			conn, arch, err := rt.Connect(ctx, name)
-			cfg := ccfg
-			if rt.Bank() != nil && mode != abnn2.OfflineInline {
-				// In-process clients share the runtime's trust domain, so they
-				// may draw banked correlations like an embedded deployment.
-				cfg.Bank = rt.Bank()
-				cfg.OfflineMode = mode
-				cfg.BankModel = bankIDs[name]
+			sconn, conn := abnn2.Pipe()
+			go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
+			info, err := serve.ClientHandshakeInfo(conn, pick(names, i))
+			if err != nil {
+				conn.Close()
+				return nil, info.Arch, ccfg, err
 			}
-			return conn, arch, cfg, err
+			cfg := ccfg
+			if cliBank != nil {
+				cfg.Bank, cfg.OfflineMode = cliBank, mode
+				cfg.BankModel, cfg.BankPeer = info.BankID, info.Peer
+			}
+			return conn, info.Arch, cfg, nil
 		}
 		fmt.Printf("mode=inproc tenants=%s max_sessions=%d bank_capacity=%d offline=%s clients=%d\n",
 			strings.Join(rt.Registry().Names(), ","), rt.Admission().Max(), *bankCap, mode, *clients)
@@ -297,11 +302,13 @@ func connectRetry(ctx context.Context, id int,
 }
 
 // embeddedRuntime builds the in-memory serving runtime: tenant models
-// (loaded or synthetic), optional bank, admission, and logging. The
-// returned map resolves model name → bank model ID for banked clients.
+// (loaded or synthetic), admission, logging and, with bankCap > 0, the
+// server's bank plus the clients' shared bank. The client party's stores
+// are stocked with bankCap correlations per model before it returns and
+// kept stocked by a background replenisher until cleanup.
 func embeddedRuntime(logger *slog.Logger, modelPath string, tenants int, ccfg abnn2.Config,
 	maxSessions, bankCap, batch int, mode abnn2.OfflineMode,
-) (*serve.Runtime, map[string]string, func(), error) {
+) (rt *serve.Runtime, cliBank *abnn2.Bank, cleanup func(), err error) {
 	registry := serve.NewRegistry()
 	if modelPath != "" {
 		data, err := os.ReadFile(modelPath)
@@ -332,43 +339,97 @@ func embeddedRuntime(logger *slog.Logger, modelPath string, tenants int, ccfg ab
 			}
 		}
 	}
-	var corrBank *abnn2.Bank
+	var closers []func()
+	cleanup = func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}
+	defer func() {
+		if err != nil {
+			cleanup()
+		}
+	}()
+	var srvBank *abnn2.Bank
+	var cliStore *abnn2.BankStore
 	if bankCap > 0 {
-		corrBank = abnn2.NewBank(abnn2.BankOptions{Capacity: bankCap, Workers: ccfg.Workers})
+		dir, err := os.MkdirTemp("", "abnn2-load-bank-*")
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		closers = append(closers, func() { os.RemoveAll(dir) })
+		open := func(name string) (*abnn2.BankStore, *abnn2.Bank, error) {
+			st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: filepath.Join(dir, name)})
+			if err != nil {
+				return nil, nil, err
+			}
+			closers = append(closers, func() { st.Close() })
+			if _, err := st.Recover(); err != nil {
+				return nil, nil, err
+			}
+			return st, abnn2.NewBank(abnn2.BankOptions{Capacity: bankCap, Store: st}), nil
+		}
+		if _, srvBank, err = open("server"); err != nil {
+			return nil, nil, nil, err
+		}
+		if cliStore, cliBank, err = open("client"); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	scfg := ccfg
 	scfg.OfflineMode = mode
-	rt, err := serve.New(serve.Options{
+	rt, err = serve.New(serve.Options{
 		Registry:    registry,
-		Bank:        corrBank,
+		Bank:        srvBank,
 		MaxSessions: maxSessions,
 		Session:     scfg,
 		Logger:      logger,
 	})
-	if err != nil {
-		if corrBank != nil {
-			corrBank.Close()
-		}
-		return nil, nil, nil, err
+	if err != nil || cliBank == nil {
+		return rt, nil, cleanup, err
 	}
-	bankIDs := make(map[string]string)
+
+	// The shared client party: one replenisher keeps every model's pool
+	// at bankCap over in-process offline sessions through the runtime.
+	models := make(map[string]string) // bank id -> registry name
 	var keys []abnn2.BankKey
 	for _, name := range registry.Names() {
 		m, _ := registry.Get(name)
-		bankIDs[name] = m.BankID
-		if corrBank != nil {
-			keys = append(keys, abnn2.BankKey{Model: m.BankID, Scheme: m.Quant.Scheme(),
-				RingBits: ccfg.RingBits, Batch: batch, Backend: bank.SessionBackend})
+		models[m.BankID] = name
+		keys = append(keys, abnn2.BankKey{Model: m.BankID, Scheme: m.Quant.Scheme(),
+			RingBits: ccfg.RingBits, Batch: batch, Backend: abnn2.BankSessionBackend})
+	}
+	var serverPeer abnn2.BankPeerID
+	replenish := func(ctx context.Context, key abnn2.BankKey, n int) (int, error) {
+		sconn, cconn := abnn2.Pipe()
+		defer cconn.Close()
+		go func() { _ = rt.HandleConn(ctx, sconn, "inproc-replenish") }()
+		info, err := serve.ClientHandshakeOffline(cconn, models[key.Model], cliStore.PeerID().String())
+		if err != nil {
+			return 0, err
+		}
+		if serverPeer, err = abnn2.ParseBankPeerID(info.Peer); err != nil {
+			return 0, err
+		}
+		cfg := ccfg
+		cfg.Bank, cfg.BankModel, cfg.SessionID = cliBank, info.BankID, info.SessionID
+		return abnn2.ReplenishSession(ctx, cconn, info.Arch, cfg, serverPeer, key.Batch, n)
+	}
+	for _, key := range keys {
+		if _, err := replenish(context.Background(), key, bankCap); err != nil {
+			return nil, nil, nil, fmt.Errorf("initial replenishment: %w", err)
 		}
 	}
-	// Readiness (polled by main before the run) gates on this prewarm.
-	rt.StartPrewarm(keys, bankCap)
-	cleanup := func() {
-		if corrBank != nil {
-			corrBank.Close()
-		}
+	rep, err := abnn2.NewBankReplenisher(abnn2.BankReplenishOptions{
+		Bank: cliBank, Peer: serverPeer, Keys: keys, Target: bankCap,
+		Interval: 50 * time.Millisecond, Run: replenish,
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return rt, bankIDs, cleanup, nil
+	rep.Start()
+	closers = append(closers, rep.Close)
+	return rt, cliBank, cleanup, nil
 }
 
 // makeInputs builds one deterministic batch of inputs of the given
@@ -431,8 +492,6 @@ func parseOfflineMode(s string) (abnn2.OfflineMode, error) {
 	switch s {
 	case "auto":
 		return abnn2.OfflineAuto, nil
-	case "inline":
-		return abnn2.OfflineInline, nil
 	case "banked":
 		return abnn2.OfflineBanked, nil
 	}

@@ -14,17 +14,18 @@
 // the session boundary, and SIGINT/SIGTERM triggers a graceful drain —
 // new handshakes are shed as "draining", in-flight batches run to
 // completion within -grace, then remaining sessions are aborted. With a
-// correlation bank configured the server degrades gracefully: sessions
-// draw precomputed offline material while pools last and fall back to
-// inline offline generation when they run dry (or shed with "bank-dry"
-// under -offline banked).
+// correlation bank configured (-bank-capacity and -bank-dir) clients fill
+// the server's durable store through offline-replenishment sessions and
+// banked batches claim the stored halves; a model whose store holds
+// nothing is served with the inline offline phase (or shed with
+// "bank-dry" under -offline banked).
 //
 // Observability: every session is assigned an ID that correlates its
 // structured log lines, trace spans, and metrics. -metrics-addr starts
 // an HTTP endpoint exposing Prometheus text at /metrics, an
 // expvar-style JSON document at /vars, liveness and readiness at
-// /healthz and /readyz (ready gates on bank prewarm and flips off at
-// drain), and the pprof profiles under /debug/pprof/. -trace-out
+// /healthz and /readyz (ready gates on bank store recovery and flips
+// off at drain), and the pprof profiles under /debug/pprof/. -trace-out
 // appends every protocol span to a JSONL file that abnn2-inspect -trace
 // can replay into a breakdown table.
 //
@@ -68,7 +69,7 @@ func main() {
 	roundTimeout := flag.Duration("round-timeout", time.Minute, "per-round protocol deadline (0 = unbounded)")
 	grace := flag.Duration("grace", 30*time.Second, "drain period for in-flight sessions on shutdown")
 	maxMsg := flag.Int("max-message", 0, "per-message size limit in bytes (0 = default 64 MiB)")
-	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (bank with inline fallback), inline, banked (shed when pools are dry)")
+	offlineMode := flag.String("offline", "auto", "offline provisioning: auto (stored correlations with inline fallback), banked (shed when the store holds nothing for the model)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /vars, /healthz, /readyz, /debug/flightrecorder and /debug/pprof on this address (empty = off)")
 	traceOut := flag.String("trace-out", "", "append protocol spans and flight stamps as JSONL to this file (empty = off)")
 	slo := flag.Duration("slo", 0, "per-session latency SLO; breaches count in abnn2_slo_breaches_total and trigger diagnostics dumps (0 = off)")
@@ -76,12 +77,9 @@ func main() {
 	diagProfile := flag.Duration("diag-profile", 0, "capture a CPU profile window of this length on each anomaly burst (0 = off; requires -diag-dir)")
 	recorderEvents := flag.Int("recorder-events", abnn2.DefaultRecorderEvents, "flight-recorder ring size per session (0 = disable the recorder)")
 	recorderSessions := flag.Int("recorder-sessions", abnn2.DefaultRecorderSessions, "flight-recorder session rings kept (LRU)")
-	bankCap := flag.Int("bank-capacity", 0, "correlation pool capacity per (model, batch) (0 = bank off); "+
-		"pools serve co-located clients sharing this process's bank — see DESIGN.md")
-	bankLow := flag.Int("bank-low", 0, "pool low watermark triggering background refill (0 = capacity/2)")
-	bankPrewarm := flag.String("bank-prewarm", "1", "comma-separated batch sizes to prewarm correlation pools for, per model")
-	bankDir := flag.String("bank-dir", "", "durable bank store directory: pools persist across restarts and remote "+
-		"clients may run peer-paired offline replenishment sessions (empty = memory-only; requires -bank-capacity > 0)")
+	bankCap := flag.Int("bank-capacity", 0, "stored correlations per (client, model, batch) pool (0 = bank off; requires -bank-dir)")
+	bankDir := flag.String("bank-dir", "", "durable bank store directory, filled by clients' offline-replenishment sessions "+
+		"and persisted across restarts (requires -bank-capacity > 0)")
 	bankFsync := flag.Int("bank-fsync", 1, "fsync the claim journal every N claims (1 = every claim, the only "+
 		"setting that makes single-use survive power loss)")
 	planFlag := flag.String("plan", "", "required "+plan.FlagUsage+"; single-model registries only")
@@ -98,8 +96,8 @@ func main() {
 		logger.Error("-offline banked requires -bank-capacity > 0")
 		os.Exit(1)
 	}
-	if *bankDir != "" && *bankCap <= 0 {
-		logger.Error("-bank-dir requires -bank-capacity > 0")
+	if (*bankDir != "") != (*bankCap > 0) {
+		logger.Error("-bank-dir and -bank-capacity > 0 go together")
 		os.Exit(1)
 	}
 
@@ -150,37 +148,27 @@ func main() {
 		traceSink = abnn2.MultiTraceSink(srvMetrics, abnn2.NewTraceWriter(f))
 	}
 
-	// Correlation bank: precomputes the offline phase off the request
-	// path for every registered model. Banked provisioning requires
-	// client and server to share the bank instance (an in-process trust
-	// domain), so over TCP this serves embedded/load-harness deployments;
-	// remote clients keep using the inline offline phase.
+	// Correlation bank: the server's half of every correlation a client
+	// generated with it ahead of need, in a durable store. Any client —
+	// remote or co-located — fills it through offline-replenishment
+	// sessions and then announces stored correlation ids in its batches.
 	var corrBank *abnn2.Bank
 	var store *abnn2.BankStore
 	if *bankCap > 0 {
 		obs := bank.NewMetricsObserver(reg)
-		if *bankDir != "" {
-			var err error
-			store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{
-				Dir:        *bankDir,
-				FsyncEvery: *bankFsync,
-				Observer:   obs,
-			})
-			if err != nil {
-				logger.Error("open bank store", "dir", *bankDir, "err", err)
-				os.Exit(1)
-			}
-			logger.Info("durable bank store up", "dir", *bankDir,
-				"peer", store.PeerID().String(), "fsync_every", *bankFsync)
-		}
-		corrBank = abnn2.NewBank(abnn2.BankOptions{
-			Capacity: *bankCap,
-			Low:      *bankLow,
-			Workers:  *workers,
-			Trace:    traceSink,
-			Observer: obs,
-			Store:    store,
+		var err error
+		store, err = abnn2.OpenBankStore(abnn2.BankStoreOptions{
+			Dir:        *bankDir,
+			FsyncEvery: *bankFsync,
+			Observer:   obs,
 		})
+		if err != nil {
+			logger.Error("open bank store", "dir", *bankDir, "err", err)
+			os.Exit(1)
+		}
+		logger.Info("durable bank store up", "dir", *bankDir,
+			"peer", store.PeerID().String(), "fsync_every", *bankFsync)
+		corrBank = abnn2.NewBank(abnn2.BankOptions{Capacity: *bankCap, Observer: obs, Store: store})
 		logger.Info("correlation bank up", "capacity", *bankCap, "models", registry.Len())
 	}
 
@@ -250,25 +238,9 @@ func main() {
 		logger.Error("serve runtime", "err", err)
 		os.Exit(1)
 	}
-	if corrBank != nil {
-		// Readiness gates on recovery then prewarm: /readyz answers 503
-		// until the durable store's recovery scan has completed (restoring
-		// persisted pools) and the pools for every (model, batch) pair have
-		// been attempted.
-		var keys []abnn2.BankKey
-		for _, name := range registry.Names() {
-			m, _ := registry.Get(name)
-			for _, b := range parseBatchList(*bankPrewarm) {
-				keys = append(keys, abnn2.BankKey{Model: m.BankID, Scheme: m.Quant.Scheme(),
-					RingBits: *ringBits, Batch: b, Backend: bank.SessionBackend})
-			}
-		}
-		if store != nil {
-			rt.StartRecovery(store, keys, *bankCap)
-		} else {
-			rt.StartPrewarm(keys, *bankCap)
-		}
-	}
+	// Readiness gates on recovery: /readyz answers 503 until the durable
+	// store's recovery scan has completed.
+	rt.StartRecovery()
 
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
@@ -356,14 +328,6 @@ func main() {
 	}
 	cancelDrain()
 	if corrBank != nil {
-		// In-flight pool replenishment gets the same grace the sessions
-		// had; whatever is still generating afterwards is force-cancelled
-		// (Close unblocks the generator protocol mid-round).
-		bctx, cancel := context.WithTimeout(context.Background(), *grace)
-		if err := corrBank.Drain(bctx); err != nil {
-			logger.Warn("shutdown: bank drain expired, aborting replenishment", "err", err)
-		}
-		cancel()
 		_ = corrBank.Close()
 		logger.Info("shutdown: correlation bank closed")
 	}
@@ -386,8 +350,6 @@ func parseOfflineMode(s string) (abnn2.OfflineMode, error) {
 	switch s {
 	case "auto":
 		return abnn2.OfflineAuto, nil
-	case "inline":
-		return abnn2.OfflineInline, nil
 	case "banked":
 		return abnn2.OfflineBanked, nil
 	}
@@ -399,17 +361,6 @@ func splitNonEmpty(s string) []string {
 	for _, f := range strings.Split(s, ",") {
 		if f = strings.TrimSpace(f); f != "" {
 			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// parseBatchList parses the -bank-prewarm CSV; bad entries are skipped.
-func parseBatchList(s string) []int {
-	var out []int
-	for _, f := range splitNonEmpty(s) {
-		if n, err := strconv.Atoi(f); err == nil && n > 0 {
-			out = append(out, n)
 		}
 	}
 	return out

@@ -1,15 +1,16 @@
 package bank
 
 import (
-	"context"
+	"bytes"
 	"fmt"
 	"testing"
-	"time"
 
 	"abnn2/internal/core"
 	"abnn2/internal/nn"
 	"abnn2/internal/prg"
 	"abnn2/internal/quant"
+	"abnn2/internal/ring"
+	"abnn2/internal/transport"
 )
 
 // testModel returns a small quantized MLP (GC junction + linear head),
@@ -25,61 +26,124 @@ func testModel(t *testing.T) *nn.QuantizedModel {
 	return nn.Quantize(m, s, 6)
 }
 
-func sessionKey(t *testing.T, b *Bank, qm *nn.QuantizedModel, batch int) Key {
+func sessionKey(t *testing.T, qm *nn.QuantizedModel, batch int) Key {
 	t.Helper()
-	id, err := b.RegisterModel(qm)
+	id, err := ModelID(qm)
 	if err != nil {
-		t.Fatalf("register model: %v", err)
+		t.Fatalf("model id: %v", err)
 	}
 	return Key{Model: id, Scheme: qm.Layers[0].Scheme.Name(), RingBits: 32, Batch: batch, Backend: SessionBackend}
 }
 
+// genPair runs the two-party offline protocol for one correlation of the
+// given batch size over an in-memory pipe, both roles seeded from seed,
+// and returns the two halves — what a replenishment round stores on
+// each side.
+func genPair(t *testing.T, qm *nn.QuantizedModel, batch int, seed uint64) (*core.ServerCorr, *core.ClientCorr) {
+	t.Helper()
+	p := core.Params{Ring: ring.New(32), Scheme: qm.Layers[0].Scheme, Workers: 1}
+	rng := prg.New(prg.SeedFromInt(seed))
+	srng, crng, shares := rng.Child("server"), rng.Child("client"), rng.Child("shares")
+	sconn, cconn := transport.Pipe()
+	defer sconn.Close()
+	type result struct {
+		corr *core.ServerCorr
+		err  error
+	}
+	ch := make(chan result, 1)
+	go func() {
+		strip, err := core.NewServerTripletsSeeded(sconn, p, 0xBD, srng)
+		if err != nil {
+			ch <- result{nil, err}
+			return
+		}
+		corr, err := strip.OfflineCorr(qm, batch)
+		ch <- result{corr, err}
+	}()
+	ctrip, err := core.NewClientTriplets(cconn, p, 0xBD, crng)
+	var ccorr *core.ClientCorr
+	if err == nil {
+		ccorr, err = ctrip.OfflineCorr(core.ArchOf(qm), shares, batch)
+	}
+	if err != nil {
+		sconn.Close()
+	}
+	s := <-ch
+	if err != nil || s.err != nil {
+		t.Fatalf("generate: client %v, server %v", err, s.err)
+	}
+	return s.corr, ccorr
+}
+
+// pairedBanks returns a client and a server bank over fresh recovered
+// stores, plus their peer ids.
+func pairedBanks(t *testing.T, opts Options) (cli, srv *Bank, cliPeer, srvPeer PeerID) {
+	t.Helper()
+	cst, _ := openRecovered(t, t.TempDir(), StoreOptions{})
+	sst, _ := openRecovered(t, t.TempDir(), StoreOptions{})
+	t.Cleanup(func() {
+		cst.Close()
+		sst.Close()
+	})
+	copts, sopts := opts, opts
+	copts.Store, sopts.Store = cst, sst
+	return New(copts), New(sopts), cst.PeerID(), sst.PeerID()
+}
+
+// putPair stores a generated pair as peer-paired correlation id.
+func putPair(t *testing.T, cli, srv *Bank, cliPeer, srvPeer PeerID, key Key, id uint64,
+	s *core.ServerCorr, c *core.ClientCorr) {
+	t.Helper()
+	if err := cli.PutPeerClient(srvPeer, key, id, c); err != nil {
+		t.Fatalf("put client half: %v", err)
+	}
+	if err := srv.PutPeerServer(cliPeer, key, id, s); err != nil {
+		t.Fatalf("put server half: %v", err)
+	}
+}
+
 func TestBankAcquireClaimRoundTrip(t *testing.T) {
-	b := New(Options{Capacity: 2, Seed: 11})
-	defer b.Close()
 	qm := testModel(t)
-	key := sessionKey(t, b, qm, 2)
-	if err := b.Prewarm(key, 2); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	key := sessionKey(t, qm, 2)
+	cli, srv, cliPeer, srvPeer := pairedBanks(t, Options{Capacity: 2})
+	s, c := genPair(t, qm, 2, 11)
+	putPair(t, cli, srv, cliPeer, srvPeer, key, 42, s, c)
+	if d := cli.PeerDepth(srvPeer, key); d != 1 {
+		t.Fatalf("client depth = %d, want 1", d)
 	}
-	if d := b.Depth(key); d != 2 {
-		t.Fatalf("depth after prewarm = %d, want 2", d)
+	if d := srv.ModelDepth(key.Model); d != 1 {
+		t.Fatalf("server model depth = %d, want 1", d)
 	}
-	id, clientHalf, ok := b.Acquire(key)
-	if !ok {
-		t.Fatalf("acquire missed a warm pool")
+	if d := srv.ModelDepth("other-model"); d != 0 {
+		t.Fatalf("server depth for an unknown model = %d, want 0", d)
 	}
-	ccorr, ok := clientHalf.(*core.ClientCorr)
-	if !ok || ccorr.Batch != 2 {
-		t.Fatalf("client half = %T batch %v, want *core.ClientCorr batch 2", clientHalf, ccorr)
+	id, ccorr, ok := cli.AcquirePeer(srvPeer, key)
+	if !ok || id != 42 || ccorr.Batch != 2 {
+		t.Fatalf("acquire = (%d, %v), want id 42 batch 2", id, ok)
 	}
-	// A claim under the wrong key must miss and leave the half parked.
+	// A claim under the wrong key must miss and leave the half stored.
 	wrong := key
 	wrong.Batch = 3
-	if _, ok := b.Claim(id, wrong); ok {
+	if _, ok := srv.ClaimPeer(cliPeer, id, wrong); ok {
 		t.Fatalf("claim with mismatched key succeeded")
 	}
-	serverHalf, ok := b.Claim(id, key)
-	if !ok {
+	scorr, ok := srv.ClaimPeer(cliPeer, id, key)
+	if !ok || scorr.Batch != 2 {
 		t.Fatalf("claim missed")
 	}
-	scorr, ok := serverHalf.(*core.ServerCorr)
-	if !ok || scorr.Batch != 2 {
-		t.Fatalf("server half = %T, want *core.ServerCorr batch 2", serverHalf)
-	}
-	// Single-use: the ID is spent.
-	if _, ok := b.Claim(id, key); ok {
+	// Single-use: the ID is spent on both sides.
+	if _, ok := srv.ClaimPeer(cliPeer, id, key); ok {
 		t.Fatalf("second claim of the same ID succeeded")
 	}
-	// The pair really is a correlation: U + V = W * R0 for layer 0.
-	rg := core.Params{}.Ring // zero value unusable; rebuild
-	p, err := sessionParams(qm, key, 0)
-	if err != nil {
-		t.Fatalf("params: %v", err)
+	if _, _, ok := cli.AcquirePeer(srvPeer, key); ok {
+		t.Fatalf("second draw from a one-deep pool succeeded")
 	}
-	rg = p.Ring
-	w := qm.Layers[0].WMat(rg)
-	want := rg.MulMat(w, ccorr.R0)
+	if d := srv.ModelDepth(key.Model); d != 0 {
+		t.Fatalf("server model depth after claim = %d, want 0", d)
+	}
+	// The pair really is a correlation: U + V = W * R0 for layer 0.
+	rg := ring.New(32)
+	want := rg.MulMat(qm.Layers[0].WMat(rg), ccorr.R0)
 	got := rg.AddMat(scorr.U[0].Clone(), ccorr.V[0])
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
@@ -89,246 +153,121 @@ func TestBankAcquireClaimRoundTrip(t *testing.T) {
 }
 
 func TestBankDistinctPairsPerDraw(t *testing.T) {
-	b := New(Options{Capacity: 2, Seed: 3})
-	defer b.Close()
 	qm := testModel(t)
-	key := sessionKey(t, b, qm, 1)
-	if err := b.Prewarm(key, 2); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	key := sessionKey(t, qm, 1)
+	cli, srv, cliPeer, srvPeer := pairedBanks(t, Options{Capacity: 2})
+	for i, seed := range []uint64{3, 4} {
+		s, c := genPair(t, qm, 1, seed)
+		putPair(t, cli, srv, cliPeer, srvPeer, key, uint64(100+i), s, c)
 	}
-	_, h1, ok1 := b.Acquire(key)
-	_, h2, ok2 := b.Acquire(key)
+	id1, h1, ok1 := cli.AcquirePeer(srvPeer, key)
+	id2, h2, ok2 := cli.AcquirePeer(srvPeer, key)
 	if !ok1 || !ok2 {
 		t.Fatalf("acquires missed: %v %v", ok1, ok2)
 	}
-	r1 := h1.(*core.ClientCorr).R0
-	r2 := h2.(*core.ClientCorr).R0
-	same := true
-	for i := range r1.Data {
-		if r1.Data[i] != r2.Data[i] {
-			same = false
-			break
-		}
+	if id1 != 100 || id2 != 101 {
+		t.Fatalf("draws returned ids %d, %d; want 100, 101 (FIFO)", id1, id2)
 	}
-	if same {
-		t.Fatalf("two draws returned identical input masks (correlation reuse)")
+	if bytes.Equal(EncodeClientCorr(h1), EncodeClientCorr(h2)) {
+		t.Fatalf("two draws returned identical client halves (correlation reuse)")
 	}
 }
 
+// TestBankDeterministicSeeding: a seeded generation lands byte-identical
+// records in independent stores, so seeded peer-paired sessions replay
+// exactly.
 func TestBankDeterministicSeeding(t *testing.T) {
 	qm := testModel(t)
-	draw := func() (*core.ClientCorr, *core.ServerCorr) {
-		b := New(Options{Capacity: 2, Seed: 99})
-		defer b.Close()
-		key := sessionKey(t, b, qm, 2)
-		if err := b.Prewarm(key, 1); err != nil {
-			t.Fatalf("prewarm: %v", err)
-		}
-		id, c, ok := b.Acquire(key)
+	key := sessionKey(t, qm, 2)
+	draw := func() ([]byte, []byte) {
+		cli, srv, cliPeer, srvPeer := pairedBanks(t, Options{})
+		s, c := genPair(t, qm, 2, 99)
+		putPair(t, cli, srv, cliPeer, srvPeer, key, 7, s, c)
+		id, cc, ok := cli.AcquirePeer(srvPeer, key)
 		if !ok {
 			t.Fatalf("acquire missed")
 		}
-		s, ok := b.Claim(id, key)
+		sc, ok := srv.ClaimPeer(cliPeer, id, key)
 		if !ok {
 			t.Fatalf("claim missed")
 		}
-		return c.(*core.ClientCorr), s.(*core.ServerCorr)
+		return EncodeClientCorr(cc), EncodeServerCorr(sc)
 	}
 	c1, s1 := draw()
 	c2, s2 := draw()
-	for i := range c1.R0.Data {
-		if c1.R0.Data[i] != c2.R0.Data[i] {
-			t.Fatalf("seeded banks disagree on R0[%d]", i)
-		}
-	}
-	for li := range s1.U {
-		for i := range s1.U[li].Data {
-			if s1.U[li].Data[i] != s2.U[li].Data[i] {
-				t.Fatalf("seeded banks disagree on U[%d][%d]", li, i)
-			}
-		}
+	if !bytes.Equal(c1, c2) || !bytes.Equal(s1, s2) {
+		t.Fatalf("seeded generations disagree")
 	}
 }
 
-func TestBankWatermarkRefill(t *testing.T) {
-	b := New(Options{Capacity: 4, Low: 2, Seed: 5})
-	defer b.Close()
-	qm := testModel(t)
-	key := sessionKey(t, b, qm, 1)
-	if err := b.Prewarm(key, 4); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, _, ok := b.Acquire(key); !ok {
-			t.Fatalf("acquire %d missed", i)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for b.Depth(key) < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("pool not replenished to capacity, depth %d", b.Depth(key))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	st := b.Snapshot()
-	if st.Refills < 7 { // 4 prewarm + >=3 background
-		t.Fatalf("refills = %d, want >= 7", st.Refills)
-	}
-	if st.Hits != 3 {
-		t.Fatalf("hits = %d, want 3", st.Hits)
-	}
-}
+type eventLog struct{ kinds []string }
+
+func (l *eventLog) BankEvent(ev Event) { l.kinds = append(l.kinds, ev.Kind) }
 
 func TestBankMissPaths(t *testing.T) {
-	b := New(Options{Capacity: 2, Seed: 5})
-	defer b.Close()
 	qm := testModel(t)
-	key := sessionKey(t, b, qm, 1)
+	key := sessionKey(t, qm, 1)
+	log := &eventLog{}
+	cli, srv, cliPeer, srvPeer := pairedBanks(t, Options{Observer: log})
+	s, c := genPair(t, qm, 1, 5)
+	putPair(t, cli, srv, cliPeer, srvPeer, key, 9, s, c)
 
 	unknown := key
 	unknown.Model = "feedfacefeedface"
-	if _, _, ok := b.Acquire(unknown); ok {
-		t.Fatalf("acquire for unregistered model succeeded")
+	if _, _, ok := cli.AcquirePeer(srvPeer, unknown); ok {
+		t.Fatalf("acquire for an unknown model succeeded")
 	}
-	badScheme := key
-	badScheme.Scheme = "binary"
-	if _, _, ok := b.Acquire(badScheme); ok {
-		t.Fatalf("acquire with mismatched scheme succeeded")
+	var other PeerID
+	other[3] = 1
+	if _, _, ok := cli.AcquirePeer(other, key); ok {
+		t.Fatalf("acquire under another peer succeeded")
 	}
-	badBatch := key
-	badBatch.Batch = -1
-	if _, _, ok := b.Acquire(badBatch); ok {
-		t.Fatalf("acquire with negative batch succeeded")
+	if _, ok := srv.ClaimPeer(cliPeer, 10, key); ok {
+		t.Fatalf("claim of an unknown id succeeded")
 	}
-	// Dry pool: first touch misses but warms in the background.
-	if _, _, ok := b.Acquire(key); ok {
-		t.Fatalf("acquire on a cold pool succeeded")
+	if _, ok := srv.ClaimPeer(other, 9, key); ok {
+		t.Fatalf("claim announced under another peer succeeded")
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for b.Depth(key) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("miss did not trigger background warming")
-		}
-		time.Sleep(5 * time.Millisecond)
+	storeless := New(Options{})
+	if _, _, ok := storeless.AcquirePeer(srvPeer, key); ok {
+		t.Fatalf("acquire on a bank without a store succeeded")
 	}
-	if st := b.Snapshot(); st.Misses < 4 {
-		t.Fatalf("misses = %d, want >= 4", st.Misses)
+	if err := storeless.PutPeerClient(srvPeer, key, 1, c); err == nil {
+		t.Fatalf("put on a bank without a store succeeded")
 	}
-}
-
-func TestBankCustomProducerFIFO(t *testing.T) {
-	b := New(Options{Capacity: 4, Seed: 2})
-	defer b.Close()
-	key := Key{Model: "custom", Scheme: "4(2,2)", RingBits: 32, Batch: 1, Backend: "test-backend"}
-	n := 0
-	err := b.RegisterProducer(key, func(*prg.PRG) (Pair, error) {
-		p := Pair{Server: fmt.Sprintf("s%d", n), Client: fmt.Sprintf("c%d", n)}
-		n++
-		return p, nil
-	})
-	if err != nil {
-		t.Fatalf("register producer: %v", err)
-	}
-	if err := b.RegisterProducer(key, func(*prg.PRG) (Pair, error) { return Pair{}, nil }); err == nil {
-		t.Fatalf("duplicate producer registration succeeded")
-	}
-	sessionKey := key
-	sessionKey.Backend = SessionBackend
-	if err := b.RegisterProducer(sessionKey, func(*prg.PRG) (Pair, error) { return Pair{}, nil }); err == nil {
-		t.Fatalf("producer registration under the session backend succeeded")
-	}
-	if err := b.Prewarm(key, 3); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		id, c, ok := b.Acquire(key)
-		if !ok {
-			t.Fatalf("acquire %d missed", i)
-		}
-		if want := fmt.Sprintf("c%d", i); c != want {
-			t.Fatalf("draw %d returned %v, want %v (FIFO order)", i, c, want)
-		}
-		s, ok := b.Claim(id, key)
-		if !ok || s != fmt.Sprintf("s%d", i) {
-			t.Fatalf("claim %d returned %v/%v", i, s, ok)
-		}
-	}
-}
-
-func TestBankProducerErrorSurfacesOnPrewarm(t *testing.T) {
-	b := New(Options{Capacity: 2})
-	defer b.Close()
-	key := Key{Model: "x", Backend: "flaky"}
-	if err := b.RegisterProducer(key, func(*prg.PRG) (Pair, error) {
-		return Pair{}, fmt.Errorf("boom")
-	}); err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := b.Prewarm(key, 1); err == nil {
-		t.Fatalf("prewarm swallowed a producer error")
+	want := []string{"peer-miss", "peer-miss", "peer-claim-miss", "peer-claim-miss"}
+	if fmt.Sprint(log.kinds) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", log.kinds, want)
 	}
 }
 
 func TestBankDrainAndClose(t *testing.T) {
-	b := New(Options{Capacity: 8, Low: 8, Seed: 4})
 	qm := testModel(t)
-	key := sessionKey(t, b, qm, 2)
-	if err := b.Prewarm(key, 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	key := sessionKey(t, qm, 2)
+	cli, srv, cliPeer, srvPeer := pairedBanks(t, Options{})
+	s, c := genPair(t, qm, 2, 4)
+	putPair(t, cli, srv, cliPeer, srvPeer, key, 1, s, c)
+	if err := cli.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
-	// Pop the only entry: depth 0 < low triggers a background refill of
-	// up to 7 more pairs, which Close must be able to interrupt.
-	if _, _, ok := b.Acquire(key); !ok {
-		t.Fatalf("acquire missed")
-	}
-	done := make(chan struct{})
-	go func() {
-		_ = b.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("Close hung with a replenishment in flight")
-	}
-	if _, _, ok := b.Acquire(key); ok {
+	if _, _, ok := cli.AcquirePeer(srvPeer, key); ok {
 		t.Fatalf("acquire succeeded after Close")
 	}
-	if err := b.Prewarm(key, 1); err == nil {
-		t.Fatalf("prewarm succeeded after Close")
+	if err := cli.PutPeerClient(srvPeer, key, 2, c); err == nil {
+		t.Fatalf("put succeeded after Close")
 	}
-	if _, err := b.RegisterModel(qm); err == nil {
-		t.Fatalf("register succeeded after Close")
+	if d := cli.PeerDepth(srvPeer, key); d != 0 {
+		t.Fatalf("closed bank reports depth %d", d)
 	}
-	// Close is idempotent.
-	if err := b.Close(); err != nil {
+	// Close is idempotent, and it leaves the store — owned by the
+	// caller — intact and flushable.
+	if err := cli.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-}
-
-func TestBankDrainWaitsForRefill(t *testing.T) {
-	b := New(Options{Capacity: 2, Low: 2, Seed: 6})
-	defer b.Close()
-	qm := testModel(t)
-	key := sessionKey(t, b, qm, 1)
-	if err := b.Prewarm(key, 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	if err := cli.Store().Sync(); err != nil {
+		t.Fatalf("store sync after bank Close: %v", err)
 	}
-	if _, _, ok := b.Acquire(key); !ok {
-		t.Fatalf("acquire missed")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := b.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	// After a drain no new refills start: depth stays wherever it landed.
-	d := b.Depth(key)
-	if _, _, ok := b.Acquire(key); ok != (d > 0) {
-		t.Fatalf("post-drain acquire ok=%v with depth %d", ok, d)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if after := b.Depth(key); after > d {
-		t.Fatalf("pool refilled after Drain: %d -> %d", d, after)
+	if d := cli.Store().Depth(Scope{Peer: srvPeer, Key: key}); d != 1 {
+		t.Fatalf("store depth after bank Close = %d, want 1", d)
 	}
 }

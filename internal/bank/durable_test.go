@@ -1,80 +1,65 @@
 package bank
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
-
-	"abnn2/internal/core"
 )
 
-// Durable-bank integration suite: the bank over a real store — persist
-// on generation, claim-before-use on Acquire, Restore after restart,
-// peer-paired pools, and the background replenisher's watermark/backoff
-// machinery.
+// Durable-bank integration suite: peer-paired halves over real stores —
+// persistence across restart, claim-before-use on both sides, and the
+// background replenisher's watermark/backoff machinery.
 
-// durableBank builds a bank over a recovered store on dir, registering
-// the test model, and returns bank, store, and the batch-2 session key.
+// durableBank builds a bank over a recovered store on dir and returns
+// bank, store, and the batch-2 session key of the test model.
 func durableBank(t *testing.T, dir string, opts Options) (*Bank, *Store, Key) {
 	t.Helper()
 	st, _ := openRecovered(t, dir, StoreOptions{})
 	opts.Store = st
-	if opts.Seed == 0 {
-		opts.Seed = 0xD0
-	}
-	b := New(opts)
-	key := sessionKey(t, b, testModel(t), 2)
-	return b, st, key
+	return New(opts), st, sessionKey(t, testModel(t), 2)
 }
 
-// TestBankPersistRestoreCycle: generated pairs are persisted, survive a
-// restart, Restore puts them back, and a pre-crash Acquire stays spent.
+// TestBankPersistRestoreCycle: stored halves survive a restart, a
+// pre-crash draw stays spent, and the survivors come back in order.
 func TestBankPersistRestoreCycle(t *testing.T) {
 	dir := t.TempDir()
 	b1, st1, key := durableBank(t, dir, Options{Capacity: 3})
-	if err := b1.Prewarm(key, 3); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	var srvPeer PeerID
+	srvPeer[0] = 5
+	_, c := genPair(t, testModel(t), 2, 21)
+	for id := uint64(1); id <= 3; id++ {
+		if err := b1.PutPeerClient(srvPeer, key, id, c); err != nil {
+			t.Fatalf("put %d: %v", id, err)
+		}
 	}
-	scope := Scope{Key: key}
-	if d := st1.Depth(scope); d != 3 {
-		t.Fatalf("store depth after prewarm = %d, want 3", d)
+	// Spend one half before the "crash": its record must be tombstoned
+	// via the claim journal before AcquirePeer returns.
+	if id, _, ok := b1.AcquirePeer(srvPeer, key); !ok || id != 1 {
+		t.Fatalf("acquire = (%d, %v), want id 1", id, ok)
 	}
-	// Spend one pair before the "crash": its persisted record must be
-	// tombstoned via the claim journal before Acquire returns.
-	if _, _, ok := b1.Acquire(key); !ok {
-		t.Fatal("acquire missed a warm pool")
-	}
-	if d := st1.Depth(scope); d != 2 {
+	if d := st1.Depth(Scope{Peer: srvPeer, Key: key}); d != 2 {
 		t.Fatalf("store depth after acquire = %d, want 2 (claim-before-use)", d)
 	}
 	b1.Close() // the store is abandoned un-Closed: crash model
 
 	b2, st2, key2 := durableBank(t, dir, Options{Capacity: 3})
-	defer b2.Close()
 	defer st2.Close()
 	if key2 != key {
 		t.Fatalf("pool key changed across restart: %v vs %v", key2, key)
 	}
-	n, err := b2.Restore()
-	if err != nil {
-		t.Fatalf("restore: %v", err)
+	if d := b2.PeerDepth(srvPeer, key); d != 2 {
+		t.Fatalf("pool depth after restart = %d, want 2", d)
 	}
-	if n != 2 {
-		t.Fatalf("restored %d pairs, want 2", n)
-	}
-	if d := b2.Depth(key); d != 2 {
-		t.Fatalf("pool depth after restore = %d, want 2", d)
-	}
-	// Both survivors must acquire and claim cleanly.
-	for i := 0; i < 2; i++ {
-		id, _, ok := b2.Acquire(key)
-		if !ok {
-			t.Fatalf("acquire %d after restore missed", i)
+	for _, want := range []uint64{2, 3} {
+		id, got, ok := b2.AcquirePeer(srvPeer, key)
+		if !ok || id != want {
+			t.Fatalf("acquire after restart = (%d, %v), want id %d", id, ok, want)
 		}
-		if _, ok := b2.Claim(id, key); !ok {
-			t.Fatalf("claim %d after restore missed", i)
+		if !bytes.Equal(EncodeClientCorr(got), EncodeClientCorr(c)) {
+			t.Fatalf("half %d changed across the disk round trip", id)
 		}
 	}
 }
@@ -89,32 +74,9 @@ func TestBankPeerPairedRoundTrip(t *testing.T) {
 	sb1, sst1, _ := durableBank(t, srvDir, Options{Capacity: 4})
 	cliPeer, srvPeer := cst1.PeerID(), sst1.PeerID()
 
-	// Manufacture a genuine pair via the dealer path, then repark it as a
-	// peer-paired correlation (the codec round-trip is what matters here;
-	// the remote wire protocol is exercised in the root package).
-	if err := cb1.Prewarm(key, 1); err != nil {
-		t.Fatalf("prewarm: %v", err)
-	}
-	id, clientHalf, ok := cb1.Acquire(key)
-	if !ok {
-		t.Fatal("acquire missed")
-	}
-	serverHalf, ok := cb1.Claim(id, key)
-	if !ok {
-		t.Fatal("claim missed")
-	}
-	ccorr, ok1 := clientHalf.(*core.ClientCorr)
-	scorr, ok2 := serverHalf.(*core.ServerCorr)
-	if !ok1 || !ok2 {
-		t.Fatalf("halves are %T / %T", clientHalf, serverHalf)
-	}
-	cid := NewCorrID()
-	if err := cb1.PutPeerClient(srvPeer, key, cid, ccorr); err != nil {
-		t.Fatalf("put peer client: %v", err)
-	}
-	if err := sb1.PutPeerServer(cliPeer, key, cid, scorr); err != nil {
-		t.Fatalf("put peer server: %v", err)
-	}
+	scorr, ccorr := genPair(t, testModel(t), 2, 31)
+	const cid = 0xC0FFEE
+	putPair(t, cb1, sb1, cliPeer, srvPeer, key, cid, scorr, ccorr)
 	if d := cb1.PeerDepth(srvPeer, key); d != 1 {
 		t.Fatalf("client-side peer depth = %d, want 1", d)
 	}
@@ -186,6 +148,7 @@ func TestReplenisherWatermark(t *testing.T) {
 		n   int
 	}
 	calls := make(chan call, 16)
+	var nextID uint64
 	r, err := NewReplenisher(ReplenishOptions{
 		Bank: b, Peer: peer, Keys: []Key{key},
 		Interval: 5 * time.Millisecond,
@@ -193,8 +156,8 @@ func TestReplenisherWatermark(t *testing.T) {
 			calls <- call{k, n}
 			// Pretend n correlations landed by parking real records.
 			for i := 0; i < n; i++ {
-				id := NewCorrID()
-				if err := st.Append(Scope{Peer: peer, Key: k}, id, []byte{1}); err != nil {
+				nextID++
+				if err := st.Append(Scope{Peer: peer, Key: k}, nextID, []byte{1}); err != nil {
 					return i, err
 				}
 			}
@@ -236,6 +199,7 @@ func TestReplenisherBackoff(t *testing.T) {
 
 	var mu sync.Mutex
 	fails, succeedAfter := 0, 3
+	var nextID uint64
 	r, err := NewReplenisher(ReplenishOptions{
 		Bank: b, Keys: []Key{key},
 		Interval:   time.Millisecond,
@@ -249,7 +213,8 @@ func TestReplenisherBackoff(t *testing.T) {
 				return 0, fmt.Errorf("link down")
 			}
 			for i := 0; i < n; i++ {
-				if err := st.Append(Scope{Key: k}, NewCorrID(), []byte{1}); err != nil {
+				nextID++
+				if err := st.Append(Scope{Key: k}, nextID, []byte{1}); err != nil {
 					return i, err
 				}
 			}
@@ -298,6 +263,7 @@ func TestReplenisherKick(t *testing.T) {
 	defer st.Close()
 
 	ran := make(chan struct{}, 1)
+	var nextID uint64
 	r, err := NewReplenisher(ReplenishOptions{
 		Bank: b, Keys: []Key{key},
 		Interval: time.Hour, // only a Kick can wake it
@@ -307,7 +273,8 @@ func TestReplenisherKick(t *testing.T) {
 			default:
 			}
 			for i := 0; i < n; i++ {
-				if err := st.Append(Scope{Key: k}, NewCorrID(), []byte{1}); err != nil {
+				nextID++
+				if err := st.Append(Scope{Key: k}, nextID, []byte{1}); err != nil {
 					return i, err
 				}
 			}
@@ -327,20 +294,33 @@ func TestReplenisherKick(t *testing.T) {
 	}
 }
 
-// TestBankStoreFailureDegradesNotBreaks: when the store dies mid-flight
-// (simulated by closing it), generation keeps serving memory-only and
-// Acquire never hands out a pair whose claim could not be recorded.
+// TestBankStoreFailureDegrades: when the store dies mid-flight
+// (simulated by closing it), draws and claims miss — a half whose claim
+// could not be journaled is never handed out — and the failure is
+// reported to the observer.
 func TestBankStoreFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
-	b, st, key := durableBank(t, dir, Options{Capacity: 2})
+	log := &eventLog{}
+	b, st, key := durableBank(t, dir, Options{Capacity: 2, Observer: log})
 	defer b.Close()
-	if err := b.Prewarm(key, 2); err != nil {
-		t.Fatalf("prewarm: %v", err)
+	var peer PeerID
+	peer[1] = 9
+	s, c := genPair(t, testModel(t), 2, 41)
+	if err := b.PutPeerClient(peer, key, 1, c); err != nil {
+		t.Fatalf("put client: %v", err)
+	}
+	if err := b.PutPeerServer(peer, key, 2, s); err != nil {
+		t.Fatalf("put server: %v", err)
 	}
 	st.Close() // store gone; claims can no longer be journaled
-	// Acquire must not return persisted pairs it cannot tombstone: the
-	// persisted entries are dropped, not double-spendable.
-	if _, _, ok := b.Acquire(key); ok {
-		t.Fatal("acquire handed out a persisted pair after the store died")
+	if _, _, ok := b.AcquirePeer(peer, key); ok {
+		t.Fatal("acquire handed out a half after the store died")
+	}
+	if _, ok := b.ClaimPeer(peer, 2, key); ok {
+		t.Fatal("claim handed out a half after the store died")
+	}
+	want := []string{"persist-claim-drop", "peer-miss", "persist-claim-drop", "peer-claim-miss"}
+	if fmt.Sprint(log.kinds) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", log.kinds, want)
 	}
 }

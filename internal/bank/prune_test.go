@@ -46,7 +46,7 @@ func TestStorePruneAtSync(t *testing.T) {
 		}
 	})
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128, Observer: obs})
 	defer s.Close()
 	fillSegments(t, s, scope, 6)
@@ -93,7 +93,7 @@ func TestStorePruneAtSync(t *testing.T) {
 
 func TestStorePruneKeepsLiveSegments(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
 	defer s.Close()
 	fillSegments(t, s, scope, 6)
@@ -118,7 +118,7 @@ func TestStorePruneKeepsLiveSegments(t *testing.T) {
 
 func TestStorePruneAtRecovery(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
 	fillSegments(t, s1, scope, 6)
 	// Claim four: the oldest segments become fully claimed, the tail
@@ -158,7 +158,7 @@ func TestStorePruneAtRecovery(t *testing.T) {
 // a new segment cleanly.
 func TestStorePruneFullyClaimedStore(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
 	fillSegments(t, s1, scope, 4)
 	for i := 0; i < 4; i++ {

@@ -2,13 +2,14 @@ package bank
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+
+	"abnn2/internal/prg"
 )
 
 // Store is the durable half of the bank: per-scope append-only segment
@@ -115,13 +116,6 @@ type segmentInfo struct {
 	ids  []uint64
 }
 
-// StoreRecord is one available (unclaimed) record, as returned by
-// Records.
-type StoreRecord struct {
-	ID   uint64
-	Blob []byte
-}
-
 const (
 	peerFile  = "PEER"
 	scopeFile = "SCOPE"
@@ -186,15 +180,16 @@ func (s *Store) PeerID() PeerID { return s.peer }
 // Dir returns the store directory.
 func (s *Store) Dir() string { return s.dir }
 
-// NewCorrID mints a random correlation id for peer-paired records.
-// Random (not sequential) so ids are unguessable without the journal —
-// see SECURITY.md.
-func NewCorrID() uint64 {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("bank: entropy unavailable: %v", err))
+// NewCorrID draws a correlation id for a peer-paired record from the
+// generating session's randomness: unguessable without the journal
+// when the stream is freshly seeded (see SECURITY.md), and reproducible
+// when a test seeds it. Never 0.
+func NewCorrID(rng *prg.PRG) uint64 {
+	for {
+		if id := rng.Uint64(); id != 0 {
+			return id
+		}
 	}
-	return binary.LittleEndian.Uint64(b[:])
 }
 
 // Recover scans the store: replays the claim journal, validates every
@@ -640,25 +635,6 @@ func (s *Store) ClaimByID(scope Scope, id uint64) (blob []byte, ok bool, err err
 		return nil, false, err
 	}
 	return b, true, nil
-}
-
-// Records returns the available records under scope without claiming
-// them — the bank's restart restore path, which re-parks pairs in memory
-// but still claims each one through the journal at Acquire time.
-func (s *Store) Records(scope Scope) ([]StoreRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sc, err := s.getState(scope, false)
-	if err != nil || sc == nil {
-		return nil, err
-	}
-	out := make([]StoreRecord, 0, len(sc.avail))
-	for _, id := range sc.avail {
-		if b, have := sc.recs[id]; have {
-			out = append(out, StoreRecord{ID: id, Blob: b})
-		}
-	}
-	return out, nil
 }
 
 // Depth returns the number of available records under scope.

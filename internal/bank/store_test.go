@@ -3,10 +3,13 @@ package bank
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"abnn2/internal/prg"
 )
 
 // Store unit suite: the durable pool store's crash-safety contract —
@@ -52,10 +55,10 @@ func TestStoreRefusesOpsBeforeRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Append(testScope(NoPeer), 1, []byte{1}); !errors.Is(err, ErrNotRecovered) {
+	if err := s.Append(testScope(PeerID{}), 1, []byte{1}); !errors.Is(err, ErrNotRecovered) {
 		t.Fatalf("Append before Recover: %v, want ErrNotRecovered", err)
 	}
-	if _, _, _, err := s.Draw(testScope(NoPeer)); !errors.Is(err, ErrNotRecovered) {
+	if _, _, _, err := s.Draw(testScope(PeerID{})); !errors.Is(err, ErrNotRecovered) {
 		t.Fatalf("Draw before Recover: %v, want ErrNotRecovered", err)
 	}
 }
@@ -64,7 +67,7 @@ func TestStorePeerIDPersists(t *testing.T) {
 	dir := t.TempDir()
 	s1, _ := openRecovered(t, dir, StoreOptions{})
 	p1 := s1.PeerID()
-	if p1 == NoPeer {
+	if p1 == (PeerID{}) {
 		t.Fatal("fresh store minted the zero peer id")
 	}
 	s1.Close()
@@ -80,7 +83,7 @@ func TestStorePeerIDPersists(t *testing.T) {
 // recovery, and the ones not drawn must all still be there.
 func TestStoreClaimSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{})
 	blobs := map[uint64][]byte{}
 	for i := 1; i <= 5; i++ {
@@ -111,20 +114,25 @@ func TestStoreClaimSurvivesReopen(t *testing.T) {
 	if _, ok, _ := s2.ClaimByID(scope, 3); ok {
 		t.Fatal("correlation 3 claimable again after reopen — double use")
 	}
-	recs, err := s2.Records(scope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if r.ID == id || r.ID == 3 {
-			t.Fatalf("claimed id %d still listed after recovery", r.ID)
+	survivors := 0
+	for {
+		rid, blob, ok, err := s2.Draw(scope)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(r.Blob, blobs[r.ID]) {
-			t.Fatalf("record %d blob corrupted across reopen", r.ID)
+		if !ok {
+			break
 		}
+		if rid == id || rid == 3 {
+			t.Fatalf("claimed id %d drawn again after recovery", rid)
+		}
+		if !bytes.Equal(blob, blobs[rid]) {
+			t.Fatalf("record %d blob corrupted across reopen", rid)
+		}
+		survivors++
 	}
-	if len(recs) != 3 {
-		t.Fatalf("%d records survive, want 3", len(recs))
+	if survivors != 3 {
+		t.Fatalf("%d records survive, want 3", survivors)
 	}
 }
 
@@ -132,7 +140,7 @@ func TestStoreClaimSurvivesReopen(t *testing.T) {
 // truncated away on recovery; every complete record before it survives.
 func TestStoreTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{})
 	for i := 1; i <= 3; i++ {
 		if err := s1.Append(scope, uint64(i), []byte{byte(i), 0xEE}); err != nil {
@@ -168,7 +176,7 @@ func TestStoreTornTailTruncated(t *testing.T) {
 // segment is moved aside, never deleted, and recovery proceeds.
 func TestStoreCorruptSegmentQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{})
 	for i := 1; i <= 3; i++ {
 		if err := s1.Append(scope, uint64(i), bytes.Repeat([]byte{byte(i)}, 16)); err != nil {
@@ -207,7 +215,7 @@ func TestStoreCorruptSegmentQuarantined(t *testing.T) {
 // serve at all rather than risk double-spending a correlation.
 func TestStoreJournalFailClosed(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{})
 	for i := 1; i <= 4; i++ {
 		if err := s1.Append(scope, uint64(i), []byte{byte(i)}); err != nil {
@@ -252,7 +260,7 @@ func TestStoreJournalFailClosed(t *testing.T) {
 // write precedes use), so truncating it is safe and recovery proceeds.
 func TestStoreJournalTornTail(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{})
 	for i := 1; i <= 3; i++ {
 		if err := s1.Append(scope, uint64(i), []byte{byte(i)}); err != nil {
@@ -287,7 +295,7 @@ func TestStoreJournalTornTail(t *testing.T) {
 // segment files, and recovery reassembles the pool from all of them.
 func TestStoreSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s1, _ := openRecovered(t, dir, StoreOptions{SegmentMaxBytes: 128})
 	for i := 1; i <= 6; i++ {
 		if err := s1.Append(scope, uint64(i), bytes.Repeat([]byte{byte(i)}, 48)); err != nil {
@@ -321,7 +329,7 @@ func TestStoreFsyncCadence(t *testing.T) {
 		}
 	})
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s, _ := openRecovered(t, dir, StoreOptions{FsyncEvery: 3, Observer: obs})
 	defer s.Close()
 	for i := 1; i <= 7; i++ {
@@ -358,7 +366,7 @@ func (f observerFunc) BankEvent(ev Event) { f(ev) }
 
 func TestStoreDrawIsFIFO(t *testing.T) {
 	dir := t.TempDir()
-	scope := testScope(NoPeer)
+	scope := testScope(PeerID{})
 	s, _ := openRecovered(t, dir, StoreOptions{})
 	defer s.Close()
 	for i := 1; i <= 3; i++ {
@@ -383,7 +391,7 @@ func TestStoreDrawIsFIFO(t *testing.T) {
 func TestScopeRoundTrip(t *testing.T) {
 	var peer PeerID
 	copy(peer[:], bytes.Repeat([]byte{0xAB}, 16))
-	for _, sc := range []Scope{testScope(NoPeer), testScope(peer)} {
+	for _, sc := range []Scope{testScope(PeerID{}), testScope(peer)} {
 		got, err := ParseScope(sc.String())
 		if err != nil {
 			t.Fatalf("parse %q: %v", sc.String(), err)
@@ -394,7 +402,7 @@ func TestScopeRoundTrip(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", "v2 peer=x", "v1 peer=zz model=m scheme=s l=32 batch=1 backend=b",
-		"v1 peer=" + NoPeer.String() + " model=m scheme=s l=7 batch=1 backend=b",
+		"v1 peer=" + PeerID{}.String() + " model=m scheme=s l=7 batch=1 backend=b",
 	} {
 		if _, err := ParseScope(bad); err == nil {
 			t.Fatalf("ParseScope(%q) accepted garbage", bad)
@@ -403,12 +411,24 @@ func TestScopeRoundTrip(t *testing.T) {
 }
 
 func TestNewCorrIDUnique(t *testing.T) {
+	draw := func() []uint64 {
+		rng := prg.New(prg.SeedFromInt(5))
+		ids := make([]uint64, 1000)
+		for i := range ids {
+			ids[i] = NewCorrID(rng)
+		}
+		return ids
+	}
 	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		id := NewCorrID()
+	ids := draw()
+	for i, id := range ids {
 		if id == 0 || seen[id] {
 			t.Fatalf("NewCorrID returned %d (dup or zero) after %d draws", id, i)
 		}
 		seen[id] = true
+	}
+	// A seeded session mints the same ids on replay.
+	if again := draw(); fmt.Sprint(again) != fmt.Sprint(ids) {
+		t.Fatal("same-seeded streams minted different ids")
 	}
 }

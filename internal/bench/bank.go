@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"time"
 
 	"abnn2"
@@ -11,9 +12,9 @@ import (
 // The offline/online split table: the same model and batch size served
 // twice — end-to-end, with the inline offline phase (OT extension +
 // triplets) on the request path, and online-only, with both parties
-// drawing prewarmed correlations from a bank so the request path is the
-// 13-byte announcement plus the online rounds. The gap between the two
-// rows is exactly what the correlation bank buys.
+// installing peer-paired correlations replenished ahead of time so the
+// request path is the banked announcement plus the online rounds. The
+// gap between the two rows is exactly what the correlation bank buys.
 
 // TableBankRow is one measured row of the split. Values are per batch,
 // averaged over the run's iterations.
@@ -78,9 +79,10 @@ func TableBank(opt Options) []TableBankRow {
 // runBankSession serves iters batches over one facade session and
 // returns the per-batch cost of the request path — the client's wall
 // time and wire traffic across its Infer calls, session setup excluded.
-// With banked set, a bank is prewarmed with iters correlations first
-// (off the measured path, which is the point) and both parties run
-// OfflineBanked so a silent inline fallback cannot flatter the row.
+// With banked set, the two parties' stores are first replenished with
+// iters peer-paired correlations (off the measured path, which is the
+// point) and both run OfflineBanked so a silent inline fallback cannot
+// flatter the row.
 func runBankSession(qm *abnn2.QuantizedModel, inputSize, batch, iters, workers int, banked bool) (measurement, error) {
 	inputs := make([][]float64, batch)
 	for k := range inputs {
@@ -93,19 +95,36 @@ func runBankSession(qm *abnn2.QuantizedModel, inputSize, batch, iters, workers i
 	scfg := abnn2.Config{RingBits: 32, Seed: 101, Workers: workers}
 	ccfg := abnn2.Config{RingBits: 32, Seed: 102, Workers: workers}
 	if banked {
-		b := abnn2.NewBank(abnn2.BankOptions{Capacity: iters, Workers: workers, Seed: 7})
-		defer b.Close()
-		id, err := abnn2.RegisterBankModel(b, qm)
+		srvDir, cliDir, err := durableStartDirs(qm, batch, workers, false)
+		if srvDir != "" {
+			defer os.RemoveAll(srvDir)
+		}
+		if cliDir != "" {
+			defer os.RemoveAll(cliDir)
+		}
 		if err != nil {
-			return measurement{}, fmt.Errorf("register model: %w", err)
+			return measurement{}, err
 		}
-		key := abnn2.BankKey{Model: id, Scheme: qm.Scheme(), RingBits: 32,
-			Batch: batch, Backend: abnn2.BankSessionBackend}
-		if err := b.Prewarm(key, iters); err != nil {
-			return measurement{}, fmt.Errorf("prewarm: %w", err)
+		srvStore, srvBank, err := openDurableParty(srvDir, iters)
+		if err != nil {
+			return measurement{}, err
 		}
-		scfg.Bank, scfg.OfflineMode = b, abnn2.OfflineBanked
-		ccfg.Bank, ccfg.OfflineMode, ccfg.BankModel = b, abnn2.OfflineBanked, id
+		defer srvStore.Close()
+		cliStore, cliBank, err := openDurableParty(cliDir, iters)
+		if err != nil {
+			return measurement{}, err
+		}
+		defer cliStore.Close()
+		if _, err := replenishPeers(qm, srvStore, srvBank, cliStore, cliBank, batch, iters, workers); err != nil {
+			return measurement{}, err
+		}
+		id, err := abnn2.BankModelID(qm)
+		if err != nil {
+			return measurement{}, err
+		}
+		scfg.Bank, scfg.OfflineMode = srvBank, abnn2.OfflineBanked
+		ccfg.Bank, ccfg.OfflineMode = cliBank, abnn2.OfflineBanked
+		ccfg.BankModel, ccfg.BankPeer = id, srvStore.PeerID().String()
 	}
 	sconn, cconn := transport.Pipe()
 	srvErr := make(chan error, 1)

@@ -77,15 +77,15 @@ func durableStartDirs(qm *abnn2.QuantizedModel, batch, workers int, warm bool) (
 	if !warm {
 		return srvDir, cliDir, nil
 	}
-	srvStore, srvBank, err := openDurableParty(srvDir, workers)
+	srvStore, srvBank, err := openDurableParty(srvDir, 1)
 	if err != nil {
 		return "", "", err
 	}
-	cliStore, cliBank, err := openDurableParty(cliDir, workers)
+	cliStore, cliBank, err := openDurableParty(cliDir, 1)
 	if err != nil {
 		return "", "", err
 	}
-	_, err = replenishOnce(qm, srvStore, srvBank, cliStore, cliBank, batch, workers)
+	_, err = replenishPeers(qm, srvStore, srvBank, cliStore, cliBank, batch, 1, workers)
 	cliBank.Close()
 	cliStore.Close()
 	srvBank.Close()
@@ -96,7 +96,9 @@ func durableStartDirs(qm *abnn2.QuantizedModel, batch, workers int, warm bool) (
 	return srvDir, cliDir, nil
 }
 
-func openDurableParty(dir string, workers int) (*abnn2.BankStore, *abnn2.Bank, error) {
+// openDurableParty opens and recovers one party's store on dir, with a
+// bank whose peer pools hold up to capacity correlations.
+func openDurableParty(dir string, capacity int) (*abnn2.BankStore, *abnn2.Bank, error) {
 	st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: dir})
 	if err != nil {
 		return nil, nil, err
@@ -105,15 +107,15 @@ func openDurableParty(dir string, workers int) (*abnn2.BankStore, *abnn2.Bank, e
 		st.Close()
 		return nil, nil, err
 	}
-	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 1, Workers: workers, Store: st})
+	b := abnn2.NewBank(abnn2.BankOptions{Capacity: capacity, Store: st})
 	return st, b, nil
 }
 
-// replenishOnce runs one remote offline session over a metered pipe,
-// storing one peer-paired correlation in each party's store, and returns
-// the session's wire traffic.
-func replenishOnce(qm *abnn2.QuantizedModel, srvStore *abnn2.BankStore, srvBank *abnn2.Bank,
-	cliStore *abnn2.BankStore, cliBank *abnn2.Bank, batch, workers int) (transport.Stats, error) {
+// replenishPeers runs one offline session over a metered pipe, storing n
+// peer-paired correlations in each party's store, and returns the
+// session's wire traffic.
+func replenishPeers(qm *abnn2.QuantizedModel, srvStore *abnn2.BankStore, srvBank *abnn2.Bank,
+	cliStore *abnn2.BankStore, cliBank *abnn2.Bank, batch, n, workers int) (transport.Stats, error) {
 	id, err := abnn2.BankModelID(qm)
 	if err != nil {
 		return transport.Stats{}, err
@@ -128,7 +130,7 @@ func replenishOnce(qm *abnn2.QuantizedModel, srvStore *abnn2.BankStore, srvBank 
 		srvErr <- err
 	}()
 	got, err := abnn2.ReplenishSession(context.Background(), cconn, qm.Arch(), ccfg,
-		srvStore.PeerID(), batch, 1)
+		srvStore.PeerID(), batch, n)
 	cconn.Close()
 	if err != nil {
 		return transport.Stats{}, fmt.Errorf("replenish: %w", err)
@@ -136,8 +138,8 @@ func replenishOnce(qm *abnn2.QuantizedModel, srvStore *abnn2.BankStore, srvBank 
 	if serr := <-srvErr; serr != nil {
 		return transport.Stats{}, fmt.Errorf("offline serve: %w", serr)
 	}
-	if got != 1 {
-		return transport.Stats{}, fmt.Errorf("replenished %d correlations, want 1", got)
+	if got != n {
+		return transport.Stats{}, fmt.Errorf("replenished %d correlations, want %d", got, n)
 	}
 	return meter.Snapshot(), nil
 }
@@ -189,14 +191,14 @@ func runDurableStart(qm *abnn2.QuantizedModel, inputSize, batch, workers int, wa
 		return row, err
 	}
 	row.Recovered = sstats.Records
-	srvBank := abnn2.NewBank(abnn2.BankOptions{Capacity: 1, Workers: workers, Store: srvStore})
+	srvBank := abnn2.NewBank(abnn2.BankOptions{Capacity: 1, Store: srvStore})
 	defer srvBank.Close()
-	cliBank := abnn2.NewBank(abnn2.BankOptions{Capacity: 1, Workers: workers, Store: cliStore})
+	cliBank := abnn2.NewBank(abnn2.BankOptions{Capacity: 1, Store: cliStore})
 	defer cliBank.Close()
 	var comm transport.Stats
 	if !warm {
 		// Cold boot must run the offline protocol before serving.
-		comm, err = replenishOnce(qm, srvStore, srvBank, cliStore, cliBank, batch, workers)
+		comm, err = replenishPeers(qm, srvStore, srvBank, cliStore, cliBank, batch, 1, workers)
 		if err != nil {
 			return row, err
 		}

@@ -65,6 +65,12 @@ func startPool() {
 	}
 }
 
+// Warm starts the shared pool now rather than on first use. The pool's
+// workers live for the process lifetime, so a goroutine-count baseline
+// taken before the first kernel call would otherwise count them as a
+// leak; tests that compare goroutine counts call Warm from TestMain.
+func Warm() { poolOnce.Do(startPool) }
+
 // submit hands task to a ready pool worker, or runs it inline when none
 // is ready, so progress never depends on a free worker.
 func submit(task func()) {

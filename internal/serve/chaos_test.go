@@ -394,23 +394,25 @@ func TestChaosServeDrainUnderLoad(t *testing.T) {
 	settleGoroutines(t, base, "drain under load")
 }
 
-// TestChaosServeBankedMultiTenant: two tenants over one bank with tiny
-// pools and strict banked sessions server-side. Clients must observe
-// only completions or typed retryable rejections (saturated or
-// bank-dry) — never a hang — and pools refill between sheds so the run
-// makes progress.
+// TestChaosServeBankedMultiTenant: two tenants over one server bank,
+// each with one stored correlation, and more clients than slots sharing
+// one client party. Clients must observe only completions (peer-banked
+// while the stored halves last, inline after) or typed retryable
+// rejections — never a hang.
 func TestChaosServeBankedMultiTenant(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	base := runtime.NumGoroutine()
 
-	reg := testRegistry(t, "tenant-a", "tenant-b")
-	bank := abnn2.NewBank(abnn2.BankOptions{Capacity: 2, Workers: 1, Seed: 0xD1CE})
-	defer bank.Close()
 	m := NewMetrics(metrics.NewRegistry())
-	rt := testRuntime(t, Options{
-		Registry: reg, Bank: bank, MaxSessions: 2, Metrics: m,
+	rt, _ := durableRuntimeOpts(t, t.TempDir(), 2, Options{
+		Registry: testRegistry(t, "tenant-a", "tenant-b"), MaxSessions: 2, Metrics: m,
 		Session: abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout, OfflineMode: abnn2.OfflineAuto},
 	})
+	cliStore, cliBank := clientParty(t)
+	infos := map[string]HandshakeInfo{}
+	for _, model := range []string{"tenant-a", "tenant-b"} {
+		infos[model] = replenishVia(t, rt, model, cliStore, cliBank, 1)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), chaosServeWatchdog)
 	defer cancel()
@@ -430,8 +432,10 @@ func TestChaosServeBankedMultiTenant(t *testing.T) {
 				errs[i] = err
 				return
 			}
+			info := infos[model]
 			client, err := abnn2.Dial(conn, arch, abnn2.Config{
-				RingBits: 32, RoundTimeout: testRoundTimeout, Seed: 200 + uint64(i)})
+				RingBits: 32, RoundTimeout: testRoundTimeout, Seed: 200 + uint64(i),
+				Bank: cliBank, BankModel: info.BankID, BankPeer: info.Peer})
 			if err != nil {
 				conn.Close()
 				errs[i] = err

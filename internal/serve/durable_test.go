@@ -7,15 +7,23 @@ import (
 	"time"
 
 	"abnn2"
+	"abnn2/internal/metrics"
 )
 
 // Durable serving suite: the runtime's offline-session handshake branch,
-// recovery-gated readiness, and the drain-time claim journal flush.
+// admission against the stored halves, recovery-gated readiness, and the
+// drain-time claim journal flush.
 
 // durableRuntime builds a runtime whose bank persists to a fresh store
 // under dir, recovery already completed (synchronously, for test
 // determinism the recovery gate is exercised separately).
 func durableRuntime(t *testing.T, dir string, capacity int) (*Runtime, *abnn2.BankStore) {
+	t.Helper()
+	return durableRuntimeOpts(t, dir, capacity, Options{})
+}
+
+// durableRuntimeOpts is durableRuntime over the given options template.
+func durableRuntimeOpts(t *testing.T, dir string, capacity int, opts Options) (*Runtime, *abnn2.BankStore) {
 	t.Helper()
 	st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: dir})
 	if err != nil {
@@ -24,15 +32,12 @@ func durableRuntime(t *testing.T, dir string, capacity int) (*Runtime, *abnn2.Ba
 	if _, err := st.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	b := abnn2.NewBank(abnn2.BankOptions{Capacity: capacity, Store: st})
-	rt := testRuntime(t, Options{Bank: b})
+	opts.Bank = abnn2.NewBank(abnn2.BankOptions{Capacity: capacity, Store: st})
+	rt := testRuntime(t, opts)
 	t.Cleanup(func() {
-		b.Close()
+		opts.Bank.Close()
 		st.Close()
 	})
-	rt.mu.Lock()
-	rt.store = st
-	rt.mu.Unlock()
 	return rt, st
 }
 
@@ -54,21 +59,17 @@ func clientParty(t *testing.T) (*abnn2.BankStore, *abnn2.Bank) {
 	return st, b
 }
 
-// TestOfflineHandshakeAndSession: an offline hello is admitted, carries
-// the server's bank identity and peer id, and the replenished pool then
-// backs a peer-banked inference session through the normal handshake.
-func TestOfflineHandshakeAndSession(t *testing.T) {
-	rt, srvStore := durableRuntime(t, t.TempDir(), 4)
-	cliStore, cliBank := clientParty(t)
-
+// replenishVia runs one offline-replenishment session for model through
+// the runtime's offline handshake, storing n batch-2 correlations in both
+// parties' stores, and returns the handshake info.
+func replenishVia(t *testing.T, rt *Runtime, model string, cliStore *abnn2.BankStore, cliBank *abnn2.Bank, n int) HandshakeInfo {
+	t.Helper()
 	sconn, cconn := abnn2.Pipe()
+	defer cconn.Close()
 	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
-	info, err := ClientHandshakeOffline(cconn, "", cliStore.PeerID().String())
+	info, err := ClientHandshakeOffline(cconn, model, cliStore.PeerID().String())
 	if err != nil {
 		t.Fatalf("offline handshake: %v", err)
-	}
-	if info.BankID == "" || info.Peer != srvStore.PeerID().String() {
-		t.Fatalf("offline handshake info incomplete: bank=%q peer=%q", info.BankID, info.Peer)
 	}
 	serverPeer, err := abnn2.ParseBankPeerID(info.Peer)
 	if err != nil {
@@ -76,22 +77,39 @@ func TestOfflineHandshakeAndSession(t *testing.T) {
 	}
 	ccfg := abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout,
 		Bank: cliBank, BankModel: info.BankID}
-	got, err := abnn2.ReplenishSession(context.Background(), cconn, info.Arch, ccfg,
-		serverPeer, 2, 2)
-	cconn.Close()
-	if err != nil || got != 2 {
+	if got, err := abnn2.ReplenishSession(context.Background(), cconn, info.Arch, ccfg,
+		serverPeer, 2, n); err != nil || got != n {
 		t.Fatalf("replenish: got=%d err=%v", got, err)
+	}
+	return info
+}
+
+// connectInfo is Runtime.Connect returning the full handshake info.
+func connectInfo(ctx context.Context, rt *Runtime, model string) (abnn2.Conn, HandshakeInfo, error) {
+	sc, cc := abnn2.Pipe()
+	go func() { _ = rt.HandleConn(ctx, sc, "inproc") }()
+	info, err := ClientHandshakeInfo(cc, model)
+	if err != nil {
+		cc.Close()
+	}
+	return cc, info, err
+}
+
+// TestOfflineHandshakeAndSession: an offline hello is admitted, carries
+// the server's bank identity and peer id, and the replenished pool then
+// backs a peer-banked inference session through the normal handshake.
+func TestOfflineHandshakeAndSession(t *testing.T) {
+	rt, srvStore := durableRuntime(t, t.TempDir(), 4)
+	cliStore, cliBank := clientParty(t)
+	info := replenishVia(t, rt, "", cliStore, cliBank, 2)
+	if info.BankID == "" || info.Peer != srvStore.PeerID().String() {
+		t.Fatalf("offline handshake info incomplete: bank=%q peer=%q", info.BankID, info.Peer)
 	}
 
 	// The stored pairs back real sessions through the normal handshake.
 	for i := 0; i < 2; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		conn, info2, err := func() (abnn2.Conn, HandshakeInfo, error) {
-			sc, cc := abnn2.Pipe()
-			go func() { _ = rt.HandleConn(ctx, sc, "inproc") }()
-			inf, err := clientHandshakeInfo(cc, hello{V: helloVersion})
-			return cc, inf, err
-		}()
+		conn, info2, err := connectInfo(ctx, rt, "")
 		if err != nil {
 			cancel()
 			t.Fatalf("session %d handshake: %v", i, err)
@@ -115,13 +133,11 @@ func TestOfflineHandshakeAndSession(t *testing.T) {
 	}
 }
 
-// TestOfflineHandshakeRejections: offline hellos are refused without a
-// durable bank (permanent) and with a malformed peer id (permanent).
+// TestOfflineHandshakeRejections: offline hellos are refused by a server
+// without a bank (permanent) and with a malformed peer id (permanent).
 func TestOfflineHandshakeRejections(t *testing.T) {
 	t.Run("no-store", func(t *testing.T) {
-		b := abnn2.NewBank(abnn2.BankOptions{Capacity: 2})
-		defer b.Close()
-		rt := testRuntime(t, Options{Bank: b})
+		rt := testRuntime(t, Options{})
 		sconn, cconn := abnn2.Pipe()
 		defer cconn.Close()
 		go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
@@ -186,7 +202,7 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 		t.Fatalf("offline hello during recovery: %v, want retryable rejection", herr)
 	}
 
-	rt.StartRecovery(st, nil, 0)
+	rt.StartRecovery()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if ready, _ := rt.ReadyState(); ready {
@@ -217,5 +233,58 @@ func TestDrainFlushesJournal(t *testing.T) {
 	}
 	if ready, reason := rt.ReadyState(); ready || reason != "draining" {
 		t.Fatalf("ReadyState after drain = %v %q", ready, reason)
+	}
+}
+
+// TestAdmissionCountsStoredHalves: admission reads the server store's
+// unclaimed halves for the requested model. An OfflineBanked runtime
+// sheds bank-dry while its store holds nothing for a model, admits the
+// model's peer-banked client once it is replenished, and an OfflineAuto
+// runtime counts that session as banked, not degraded.
+func TestAdmissionCountsStoredHalves(t *testing.T) {
+	for _, mode := range []abnn2.OfflineMode{abnn2.OfflineBanked, abnn2.OfflineAuto} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m := NewMetrics(metrics.NewRegistry())
+			rt, _ := durableRuntimeOpts(t, t.TempDir(), 4, Options{
+				Registry: testRegistry(t, "m0", "m1"), Metrics: m,
+				Session: abnn2.Config{OfflineMode: mode},
+			})
+			cliStore, cliBank := clientParty(t)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if mode == abnn2.OfflineBanked {
+				_, _, err := rt.Connect(ctx, "m0")
+				var rej *RejectError
+				if !errors.As(err, &rej) || rej.Rejection.Code != RejectBankDry {
+					t.Fatalf("connect to an empty store: %v, want a bank-dry rejection", err)
+				}
+			}
+			replenishVia(t, rt, "m0", cliStore, cliBank, 1)
+
+			conn, info, err := connectInfo(ctx, rt, "m0")
+			if err != nil {
+				t.Fatalf("connect after replenishment: %v", err)
+			}
+			client, err := abnn2.Dial(conn, info.Arch, abnn2.Config{RingBits: 32,
+				RoundTimeout: testRoundTimeout, Bank: cliBank, OfflineMode: abnn2.OfflineBanked,
+				BankModel: info.BankID, BankPeer: info.Peer})
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			if _, err := client.Classify(testInputs(2)); err != nil {
+				t.Fatalf("peer-banked classify: %v", err)
+			}
+			client.Close()
+			if d := m.Degraded.Value(); d != 0 {
+				t.Errorf("peer-banked session counted as degraded %d times", d)
+			}
+			if mode == abnn2.OfflineBanked {
+				_, _, err := rt.Connect(ctx, "m1")
+				var rej *RejectError
+				if !errors.As(err, &rej) || rej.Rejection.Code != RejectBankDry {
+					t.Fatalf("connect for a model with no stored halves: %v, want bank-dry", err)
+				}
+			}
+		})
 	}
 }

@@ -45,7 +45,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		SessionsFailed: r.NewCounter("abnn2_serve_sessions_failed_total", "Admitted sessions that ended with a protocol error."),
 		OfflineTotal:   r.NewCounter("abnn2_serve_offline_sessions_total", "Admitted remote offline-replenishment sessions."),
 		OfflineFailed:  r.NewCounter("abnn2_serve_offline_sessions_failed_total", "Remote offline-replenishment sessions that ended with an error."),
-		Ready:          r.NewGauge("abnn2_serve_ready", "Whether the runtime reports ready (prewarm done, not draining)."),
+		Ready:          r.NewGauge("abnn2_serve_ready", "Whether the runtime reports ready (bank store recovered, not draining)."),
 		SLOSessions:    r.NewCounter("abnn2_slo_sessions_total", "Inference sessions measured against the latency SLO."),
 		SLOBreaches:    r.NewCounterVec("abnn2_slo_breaches_total", "Inference sessions that breached the latency SLO, by model.", "model"),
 		SessionLatency: r.NewHistogramVec("abnn2_session_latency_seconds", "End-to-end inference session latency, by model.", "model", metrics.DurationBuckets),

@@ -139,3 +139,72 @@ func TestRequiredPlanMismatch(t *testing.T) {
 		t.Fatalf("classify under required plan: %v", err)
 	}
 }
+
+// TestServePlannedPeerBanked: the offline hello takes a plan through the
+// same admission check as an inference hello, replenishment then fills
+// the plan's peer-paired pools, and a strict-banked planned session
+// provisions from them and predicts exactly what the plaintext model
+// does.
+func TestServePlannedPeerBanked(t *testing.T) {
+	reg := testRegistry(t, "m0")
+	rt, _ := durableRuntimeOpts(t, t.TempDir(), 2, Options{Registry: reg,
+		Session: abnn2.Config{OfflineMode: abnn2.OfflineBanked}})
+	cliStore, cliBank := clientParty(t)
+	peer := cliStore.PeerID().String()
+
+	short := &abnn2.Plan{Layers: []abnn2.PlanChoice{{Backend: core.BackendABNN2}}}
+	sconn, cconn := abnn2.Pipe()
+	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
+	_, err := ClientHandshakeOfflinePlan(cconn, "m0", peer, short)
+	cconn.Close()
+	var rej *RejectError
+	if !errors.As(err, &rej) || rej.Rejection.Code != RejectBadPlan {
+		t.Fatalf("offline hello with an infeasible plan: %v, want bad-plan", err)
+	}
+
+	p := testPlan()
+	sconn, cconn = abnn2.Pipe()
+	go func() { _ = rt.HandleConn(context.Background(), sconn, "inproc") }()
+	info, err := ClientHandshakeOfflinePlan(cconn, "m0", peer, p)
+	if err != nil {
+		t.Fatalf("planned offline handshake: %v", err)
+	}
+	serverPeer, err := abnn2.ParseBankPeerID(info.Peer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := abnn2.ReplenishSession(context.Background(), cconn, info.Arch,
+		abnn2.Config{RingBits: 32, RoundTimeout: testRoundTimeout, Bank: cliBank,
+			BankModel: info.BankID, Plan: p}, serverPeer, 2, 1)
+	cconn.Close()
+	if err != nil || got != 1 {
+		t.Fatalf("planned replenish: got=%d err=%v", got, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	sconn, cconn = abnn2.Pipe()
+	go func() { _ = rt.HandleConn(ctx, sconn, "inproc") }()
+	info, err = ClientHandshakePlan(cconn, "m0", p)
+	if err != nil {
+		t.Fatalf("planned handshake: %v", err)
+	}
+	client, err := abnn2.Dial(cconn, info.Arch, abnn2.Config{RingBits: 32,
+		RoundTimeout: testRoundTimeout, Plan: p, Bank: cliBank,
+		OfflineMode: abnn2.OfflineBanked, BankModel: info.BankID, BankPeer: info.Peer})
+	if err != nil {
+		cconn.Close()
+		t.Fatalf("dial: %v", err)
+	}
+	defer client.Close()
+	classes, err := client.Classify(testInputs(2))
+	if err != nil {
+		t.Fatalf("planned peer-banked classify: %v", err)
+	}
+	qm, _ := reg.Get("m0")
+	for k, x := range testInputs(2) {
+		if want := qm.Quant.Predict(x); classes[k] != want {
+			t.Errorf("input %d: planned peer-banked %d, plaintext %d", k, classes[k], want)
+		}
+	}
+}

@@ -10,14 +10,12 @@ import (
 )
 
 // Model is one registry entry: a hot quantized model, its pre-marshalled
-// public architecture (sent on every admission), and — when a bank is
-// attached — its pool identity.
+// public architecture (sent on every admission), and its pool identity.
 type Model struct {
 	Name     string
 	Quant    *abnn2.QuantizedModel
 	ArchJSON json.RawMessage
-	// BankID is the model's correlation-pool identity, set by
-	// Runtime-level bank registration; empty when no bank is configured.
+	// BankID is the model's correlation-pool identity (abnn2.BankModelID).
 	BankID string
 }
 
@@ -50,7 +48,11 @@ func (r *Registry) Add(name string, qm *abnn2.QuantizedModel) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: marshal arch of %q: %w", name, err)
 	}
-	m := &Model{Name: name, Quant: qm, ArchJSON: archJSON}
+	bankID, err := abnn2.BankModelID(qm)
+	if err != nil {
+		return nil, fmt.Errorf("serve: bank identity of %q: %w", name, err)
+	}
+	m := &Model{Name: name, Quant: qm, ArchJSON: archJSON, BankID: bankID}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.models[name]; dup {

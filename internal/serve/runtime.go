@@ -21,10 +21,10 @@ import (
 type Options struct {
 	// Registry holds the served models; must contain at least one.
 	Registry *Registry
-	// Bank, when non-nil, provisions sessions from precomputed
-	// correlation pools. Every registered model is given its own pools
-	// (New registers them); sessions degrade per Session.OfflineMode when
-	// pools run dry.
+	// Bank, when non-nil, is the server's correlation bank over its
+	// durable store: clients fill it through offline-replenishment
+	// sessions and banked batches claim from it. Admission degrades per
+	// Session.OfflineMode when it holds nothing for the requested model.
 	Bank *abnn2.Bank
 	// MaxSessions bounds concurrently admitted sessions. 0 derives a
 	// default from GOMAXPROCS and Session.Workers (each session fans its
@@ -88,24 +88,23 @@ type Runtime struct {
 	diag      *diagnostics
 
 	nextSession atomic.Uint64
-	prewarmed   atomic.Bool
 	recovered   atomic.Bool
 
 	mu       sync.Mutex
 	nconns   int
 	draining bool
-	store    *abnn2.BankStore // set by StartRecovery; flushed on Drain
 }
 
-// New builds a runtime over a non-empty registry. When a bank is
-// configured, every registered model is registered with it here, so each
-// model gets its own correlation pools keyed by its identity.
+// New builds a runtime over a non-empty registry.
 func New(opts Options) (*Runtime, error) {
 	if opts.Registry == nil || opts.Registry.Len() == 0 {
 		return nil, fmt.Errorf("serve: registry is empty")
 	}
 	if opts.Session.OfflineMode == abnn2.OfflineBanked && opts.Bank == nil {
 		return nil, fmt.Errorf("serve: OfflineBanked sessions require Options.Bank")
+	}
+	if opts.Bank != nil && opts.Bank.Store() == nil {
+		return nil, fmt.Errorf("serve: Options.Bank requires a durable store")
 	}
 	log := opts.Logger
 	if log == nil {
@@ -136,17 +135,6 @@ func New(opts Options) (*Runtime, error) {
 		rt.session.Trace = trace.Multi(rt.session.Trace, rt.recorder)
 	}
 	rt.diag = newDiagnostics(opts.DiagDir, rt.recorder, opts.DiagProfile, opts.Metrics, log)
-	if rt.bank != nil {
-		for _, name := range rt.reg.Names() {
-			m, _ := rt.reg.Get(name)
-			id, err := abnn2.RegisterBankModel(rt.bank, m.Quant)
-			if err != nil {
-				return nil, fmt.Errorf("serve: register %q with bank: %w", name, err)
-			}
-			m.BankID = id
-		}
-	}
-	rt.prewarmed.Store(true) // until StartPrewarm says otherwise
 	rt.recovered.Store(true) // until StartRecovery says otherwise
 	rt.m.setReady(true)
 	return rt, nil
@@ -172,55 +160,20 @@ func defaultMaxSessions(workers int) int {
 // introspection and tests).
 func (rt *Runtime) Admission() *Admission { return rt.adm }
 
-// Bank returns the runtime's correlation bank (nil when banking is off).
-func (rt *Runtime) Bank() *abnn2.Bank { return rt.bank }
-
 // Registry returns the runtime's model registry.
 func (rt *Runtime) Registry() *Registry { return rt.reg }
-
-// StartPrewarm begins background prewarming of the given pool keys to
-// depth each, gating readiness: /readyz answers 503 until every key has
-// been attempted. Prewarm failures are logged and skipped — pools warm
-// lazily on first miss — so a broken key degrades capacity, not startup.
-func (rt *Runtime) StartPrewarm(keys []abnn2.BankKey, depth int) {
-	if rt.bank == nil || len(keys) == 0 {
-		return
-	}
-	rt.prewarmed.Store(false)
-	rt.m.setReady(false)
-	rt.trackConn()
-	go func() {
-		defer rt.untrackConn()
-		for _, key := range keys {
-			if err := rt.bank.Prewarm(key, depth); err != nil {
-				rt.log.Warn("bank prewarm failed", "key", key.String(), "err", err)
-				continue
-			}
-			rt.log.Info("bank pool warm", "key", key.String(), "depth", rt.bank.Depth(key))
-		}
-		rt.prewarmed.Store(true)
-		ready, _ := rt.ReadyState()
-		rt.m.setReady(ready)
-	}()
-}
 
 // StartRecovery begins background recovery of the bank's durable store,
 // gating readiness: /readyz answers 503 until the recovery scan has
 // completed, so banked sessions never run against an unvalidated store.
-// On success the bank's persisted dealer pairs are restored into their
-// pools, then prewarming of keys starts (so prewarm tops up what
-// recovery did not restore, instead of racing it). A failed recovery is
-// logged and leaves the store disabled — the bank serves memory-only,
-// degrading durability rather than startup — and the runtime still
-// becomes ready.
-func (rt *Runtime) StartRecovery(store *abnn2.BankStore, keys []abnn2.BankKey, depth int) {
-	if store == nil {
-		rt.StartPrewarm(keys, depth)
+// A failed recovery is logged and leaves the store refusing every
+// operation — banked batches fail, inline ones are still served — and
+// the runtime still becomes ready.
+func (rt *Runtime) StartRecovery() {
+	if rt.bank == nil {
 		return
 	}
-	rt.mu.Lock()
-	rt.store = store
-	rt.mu.Unlock()
+	store := rt.bank.Store()
 	rt.recovered.Store(false)
 	rt.m.setReady(false)
 	rt.trackConn()
@@ -228,23 +181,15 @@ func (rt *Runtime) StartRecovery(store *abnn2.BankStore, keys []abnn2.BankKey, d
 		defer rt.untrackConn()
 		stats, err := store.Recover()
 		if err != nil {
-			rt.log.Error("bank store recovery failed; serving memory-only", "dir", store.Dir(), "err", err)
+			rt.log.Error("bank store recovery failed; banked provisioning disabled", "dir", store.Dir(), "err", err)
 		} else {
 			rt.log.Info("bank store recovered", "dir", store.Dir(),
 				"scopes", stats.Scopes, "records", stats.Records, "claimed", stats.Claimed,
 				"torn_tails", stats.TornTails, "quarantined", stats.Quarantined)
-			if rt.bank != nil {
-				if n, rerr := rt.bank.Restore(); rerr != nil {
-					rt.log.Warn("bank restore failed", "err", rerr)
-				} else if n > 0 {
-					rt.log.Info("bank pools restored from store", "pairs", n)
-				}
-			}
 		}
 		rt.recovered.Store(true)
 		ready, _ := rt.ReadyState()
 		rt.m.setReady(ready)
-		rt.StartPrewarm(keys, depth)
 	}()
 }
 
@@ -261,8 +206,6 @@ func (rt *Runtime) ReadyState() (bool, string) {
 		return false, "no models registered"
 	case !rt.recovered.Load():
 		return false, "bank store recovery in progress"
-	case !rt.prewarmed.Load():
-		return false, "bank prewarm in progress"
 	}
 	return true, "ready"
 }
@@ -275,7 +218,6 @@ func (rt *Runtime) ReadyState() (bool, string) {
 func (rt *Runtime) Drain(ctx context.Context) error {
 	rt.mu.Lock()
 	rt.draining = true
-	store := rt.store
 	rt.mu.Unlock()
 	rt.m.setReady(false)
 	// In-flight diagnostics profile windows must finish before the
@@ -283,9 +225,9 @@ func (rt *Runtime) Drain(ctx context.Context) error {
 	defer rt.diag.wait()
 	// Flush the claim journal even when sessions outlive the deadline: an
 	// abandoned drain must not leave claims in OS buffers.
-	if store != nil {
+	if rt.bank != nil {
 		defer func() {
-			if err := store.Sync(); err != nil {
+			if err := rt.bank.Store().Sync(); err != nil {
 				rt.log.Warn("claim journal flush on drain failed", "err", err)
 			}
 		}()
@@ -355,20 +297,17 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 			Reason: fmt.Sprintf("model %q is not served here", h.Model),
 		})
 	}
-	if h.Offline {
-		if len(h.Plan) > 0 {
-			// Replenishment generates the all-ABNN2 session material;
-			// planned pools are filled by planned online sessions.
-			return rt.reject(conn, remote, Rejection{
-				Code:   RejectBadPlan,
-				Reason: "offline replenishment sessions do not take a plan",
-			})
-		}
-		return rt.handleOffline(ctx, conn, remote, model, h)
-	}
 	sessPlan, perr := rt.checkPlan(model, h)
 	if perr != nil {
 		return rt.reject(conn, remote, Rejection{Code: RejectBadPlan, Reason: perr.Error()})
+	}
+	if h.Offline {
+		if sessPlan == nil && rt.session.Plan != nil {
+			// Both parties must generate under the same schedule.
+			return rt.reject(conn, remote, Rejection{Code: RejectBadPlan,
+				Reason: fmt.Sprintf("this server requires plan %s", rt.session.Plan)})
+		}
+		return rt.handleOffline(ctx, conn, remote, model, h, sessPlan)
 	}
 	release, rej, degraded := rt.admit(model)
 	if rej != nil {
@@ -381,7 +320,7 @@ func (rt *Runtime) HandleConn(ctx context.Context, conn abnn2.Conn, remote strin
 	// which is what lets -timeline merge the two dumps.
 	id := rt.nextSession.Add(1)
 	hr := helloReply{OK: true, Model: model.Name, Arch: model.ArchJSON, Session: id}
-	if rt.bank != nil && rt.bank.Store() != nil {
+	if rt.bank != nil {
 		hr.BankID, hr.Peer = model.BankID, rt.bank.Store().PeerID().String()
 	}
 	reply, err := json.Marshal(hr)
@@ -452,14 +391,15 @@ func (rt *Runtime) emitAdmission(id uint64, hsStart time.Time) {
 	})
 }
 
-// handleOffline serves a remote offline-replenishment session: the
-// client and this server run the real two-party offline protocol and
-// each durably stores its half of every correlation under the other's
-// peer id. Offline sessions take a normal session slot — they cost the
-// same compute as an inline offline phase — but skip the bank-dry
-// check, since their whole point is to fill pools.
-func (rt *Runtime) handleOffline(ctx context.Context, conn abnn2.Conn, remote string, model *Model, h hello) error {
-	if rt.bank == nil || rt.bank.Store() == nil {
+// handleOffline serves an offline-replenishment session: the client and
+// this server run the real two-party offline protocol and each durably
+// stores its half of every correlation under the other's peer id — in
+// the plan's pools when the hello proposed a plan. Offline sessions take
+// a normal session slot — they cost the same compute as an inline
+// offline phase — but skip the bank-dry check, since their whole point
+// is to fill pools.
+func (rt *Runtime) handleOffline(ctx context.Context, conn abnn2.Conn, remote string, model *Model, h hello, p *abnn2.Plan) error {
+	if rt.bank == nil {
 		return rt.reject(conn, remote, Rejection{
 			Code:   RejectBadHello,
 			Reason: "offline sessions require a server with a durable bank store",
@@ -517,6 +457,9 @@ func (rt *Runtime) handleOffline(ctx context.Context, conn abnn2.Conn, remote st
 	cfg := rt.session
 	cfg.SessionID = id
 	cfg.Bank = rt.bank
+	if p != nil {
+		cfg.Plan = p
+	}
 	rt.m.offlineStart()
 	start := time.Now()
 	err = abnn2.ServeOfflineSession(ctx, conn, model.Quant, cfg, peer)
@@ -580,11 +523,11 @@ func (rt *Runtime) admit(model *Model) (release func(), rej *Rejection, degraded
 			Reason:           fmt.Sprintf("all %d session slots busy", rt.adm.Max()),
 		}, false
 	}
-	if rt.bank != nil && rt.session.OfflineMode != abnn2.OfflineInline {
-		if depth := rt.bankDepth(model); depth == 0 {
+	if rt.bank != nil {
+		if rt.bank.ModelDepth(model.BankID) == 0 {
 			if rt.session.OfflineMode == abnn2.OfflineBanked {
 				// Admitting would hand the client a session whose every batch
-				// fails; shed instead, while the miss-triggered refill runs.
+				// fails; shed instead, while its replenisher refills.
 				release()
 				return nil, &Rejection{
 					Code: RejectBankDry, Retryable: true,
@@ -592,25 +535,10 @@ func (rt *Runtime) admit(model *Model) (release func(), rej *Rejection, degraded
 					Reason:           fmt.Sprintf("correlation pools for model %q are dry", model.Name),
 				}, false
 			}
-			degraded = true // OfflineAuto: serve inline while pools refill
+			degraded = true // OfflineAuto: serve inline until pools are filled
 		}
 	}
 	return release, nil, degraded
-}
-
-// bankDepth sums the live depths of the model's session pools across all
-// batch sizes.
-func (rt *Runtime) bankDepth(m *Model) int {
-	if rt.bank == nil || m.BankID == "" {
-		return 0
-	}
-	total := 0
-	for key, depth := range rt.bank.Snapshot().Depths {
-		if key.Model == m.BankID {
-			total += depth
-		}
-	}
-	return total
 }
 
 // reject sheds one connection: metrics, log, best-effort wire reply

@@ -36,14 +36,14 @@ const helloVersion = 1
 const maxHelloBytes = 4096
 
 // hello is the client's opening flight: wire version and requested model
-// (empty selects the registry's default model). Offline asks for a
-// remote offline-replenishment session instead of an inference session;
-// it requires Peer, the client's durable bank identity, under which the
+// (empty selects the registry's default model). Offline asks for an
+// offline-replenishment session instead of an inference session; it
+// requires Peer, the client's durable bank identity, under which the
 // server will store its correlation halves. Plan, when present, is the
 // marshalled per-layer protocol plan the client intends to announce on
-// every batch; the server validates it against the model at admission —
-// a plan it cannot serve is refused in the handshake round, before any
-// base-OT work.
+// every batch (or, offline, to generate under); the server validates it
+// against the model at admission — a plan it cannot serve is refused in
+// the handshake round, before any base-OT work.
 type hello struct {
 	V       int    `json:"abnn2"`
 	Model   string `json:"model,omitempty"`
@@ -161,6 +161,19 @@ func ClientHandshakeOffline(conn abnn2.Conn, model, peer string) (HandshakeInfo,
 	return clientHandshakeInfo(conn, hello{V: helloVersion, Model: model, Offline: true, Peer: peer})
 }
 
+// ClientHandshakeOfflinePlan is ClientHandshakeOffline for replenishing
+// the pools of a per-layer protocol plan: the server validates the plan
+// at admission exactly as for an inference session, and both parties
+// then generate under it (set the same plan as abnn2.Config.Plan for
+// the ReplenishSession on this connection).
+func ClientHandshakeOfflinePlan(conn abnn2.Conn, model, peer string, p *abnn2.Plan) (HandshakeInfo, error) {
+	h := hello{V: helloVersion, Model: model, Offline: true, Peer: peer}
+	if p != nil {
+		h.Plan = p.Marshal()
+	}
+	return clientHandshakeInfo(conn, h)
+}
+
 // ClientHandshakePlan performs the handshake proposing a per-layer
 // protocol plan. The server validates the plan against the model at
 // admission and answers a permanent bad-plan rejection if it cannot
@@ -237,13 +250,18 @@ func DialModelInfo(ctx context.Context, addr, model string) (abnn2.Conn, Handsha
 	return dialHello(ctx, addr, hello{V: helloVersion, Model: model})
 }
 
-// DialOffline connects for a remote offline-replenishment session: peer
-// is this client's durable bank identity (hex). The same backpressure
-// handling as DialModel applies; on success the connection is admitted
-// and ready for abnn2.ReplenishSession with the returned BankID and
-// Peer.
-func DialOffline(ctx context.Context, addr, model, peer string) (abnn2.Conn, HandshakeInfo, error) {
-	return dialHello(ctx, addr, hello{V: helloVersion, Model: model, Offline: true, Peer: peer})
+// DialOffline connects for an offline-replenishment session: peer is
+// this client's durable bank identity (hex), and p, when non-nil, the
+// plan whose pools to fill. The same backpressure handling as DialModel
+// applies; on success the connection is admitted and ready for
+// abnn2.ReplenishSession with the returned BankID and Peer (and p as
+// Config.Plan).
+func DialOffline(ctx context.Context, addr, model, peer string, p *abnn2.Plan) (abnn2.Conn, HandshakeInfo, error) {
+	h := hello{V: helloVersion, Model: model, Offline: true, Peer: peer}
+	if p != nil {
+		h.Plan = p.Marshal()
+	}
+	return dialHello(ctx, addr, h)
 }
 
 // DialModelPlan is DialModel proposing a per-layer protocol plan in the

@@ -3,34 +3,44 @@ package testkit
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"abnn2"
 	"abnn2/internal/nn"
+	"abnn2/internal/plan"
 	"abnn2/internal/ring"
 	"abnn2/internal/transport"
 )
 
 // The peer-banked arm of the differential sweep: correlations come from
-// a genuinely remote offline session — two separate durable stores
-// filled over a pipe by the real two-party offline protocol, no
-// in-process dealer anywhere — and the banked session then provisions
-// from them (OfflineBanked, so a silent inline fallback fails the run).
-// Bit-identity with the inline run and the plaintext reference certifies
-// that the disk round trip and the peer-pairing protocol preserve the
-// correlations exactly.
+// an offline session — two separate durable stores filled over a pipe by
+// the real two-party offline protocol — and the banked session then
+// provisions from them (OfflineBanked, so a silent inline fallback fails
+// the run). Bit-identity with the inline run and the plaintext reference
+// certifies that the disk round trip and the peer-pairing protocol
+// preserve the correlations exactly.
 
 // durableSweepParty opens one party's store+bank under a test temp dir.
-func durableSweepParty(t *testing.T, seed uint64) (*abnn2.BankStore, *abnn2.Bank) {
+// The store's durable peer id is pinned to peer (normally minted at
+// random on first open), so a seeded banked session — whose announcement
+// carries the client's peer id — is byte-reproducible.
+func durableSweepParty(t *testing.T, peer uint64) (*abnn2.BankStore, *abnn2.Bank) {
 	t.Helper()
-	st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: t.TempDir()})
+	dir := t.TempDir()
+	id := fmt.Sprintf("%032x\n", peer)
+	if err := os.WriteFile(filepath.Join(dir, "PEER"), []byte(id), 0o644); err != nil {
+		t.Fatalf("pin peer id: %v", err)
+	}
+	st, err := abnn2.OpenBankStore(abnn2.BankStoreOptions{Dir: dir})
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
 	if _, err := st.Recover(); err != nil {
 		t.Fatalf("recover: %v", err)
 	}
-	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 1, Seed: seed, Store: st})
+	b := abnn2.NewBank(abnn2.BankOptions{Capacity: 1, Store: st})
 	t.Cleanup(func() {
 		b.Close()
 		st.Close()
@@ -38,9 +48,12 @@ func durableSweepParty(t *testing.T, seed uint64) (*abnn2.BankStore, *abnn2.Bank
 	return st, b
 }
 
-// runPeerBanked replenishes exactly one peer-paired correlation over an
-// in-memory pipe and executes the case provisioned from it.
-func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
+// peerBanked replenishes exactly one peer-paired correlation for the
+// case — under p and its MiniONN key size when p is non-nil — over an
+// in-memory pipe, with both parties seeded from the case seed, and
+// returns the per-party configuration hook that provisions a session
+// from it.
+func peerBanked(t *testing.T, c *Case, p *plan.Plan, keyBits int) (func(server bool, cfg *abnn2.Config), error) {
 	t.Helper()
 	data, err := nn.MarshalQuantized(c.Model)
 	if err != nil {
@@ -58,8 +71,10 @@ func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
 	cliStore, cliBank := durableSweepParty(t, 0xF000+c.Seed)
 
 	sconn, cconn := transport.Pipe()
-	scfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 3, Bank: srvBank}
-	ccfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 4, Bank: cliBank, BankModel: id}
+	scfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 3, Bank: srvBank,
+		Plan: p, MiniONNKeyBits: keyBits}
+	ccfg := abnn2.Config{RingBits: c.RingBits, Seed: 4*c.Seed + 4, Bank: cliBank, BankModel: id,
+		Plan: p, MiniONNKeyBits: keyBits}
 	srvErr := make(chan error, 1)
 	go func() {
 		err := abnn2.ServeOfflineSession(context.Background(), sconn, qm, scfg, cliStore.PeerID())
@@ -69,17 +84,16 @@ func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
 	got, err := abnn2.ReplenishSession(context.Background(), cconn, qm.Arch(), ccfg,
 		srvStore.PeerID(), c.Batch, 1)
 	cconn.Close()
+	if serr := <-srvErr; err == nil && serr != nil {
+		err = fmt.Errorf("offline serve: %w", serr)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("replenish: %w", err)
-	}
-	if serr := <-srvErr; serr != nil {
-		return nil, fmt.Errorf("offline serve: %w", serr)
 	}
 	if got != 1 {
 		return nil, fmt.Errorf("replenished %d correlations, want 1", got)
 	}
-	return RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
-		cfg.OptimizedReLU = optRelu
+	return func(server bool, cfg *abnn2.Config) {
 		cfg.OfflineMode = abnn2.OfflineBanked
 		if server {
 			cfg.Bank = srvBank
@@ -88,12 +102,53 @@ func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
 			cfg.BankModel = id
 			cfg.BankPeer = srvStore.PeerID().String()
 		}
+	}, nil
+}
+
+// runPeerBanked replenishes one correlation and executes the case
+// provisioned from it.
+func runPeerBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
+	t.Helper()
+	banked, err := peerBanked(t, c, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
+		cfg.OptimizedReLU = optRelu
+		banked(server, cfg)
 	})
+}
+
+// checkBitIdentical demands that a banked run's outputs equal the inline
+// run's and the plaintext ring reference's, element for element —
+// agreement between two secure runs alone could hide a shared bug.
+func checkBitIdentical(c *Case, what string, banked, inline *ring.Mat) error {
+	if banked.Rows != inline.Rows || banked.Cols != inline.Cols {
+		return fmt.Errorf("%s: %s output %dx%d, inline %dx%d",
+			c.Desc(), what, banked.Rows, banked.Cols, inline.Rows, inline.Cols)
+	}
+	for i := range inline.Data {
+		if banked.Data[i] != inline.Data[i] {
+			return fmt.Errorf("%s: output element %d: %s %d, inline %d",
+				c.Desc(), i, what, banked.Data[i], inline.Data[i])
+		}
+	}
+	rg := ring.New(c.RingBits)
+	for k, x := range c.Inputs {
+		want := c.Model.ForwardRing(rg, c.Model.EncodeInput(rg, x))
+		for i, w := range want {
+			if got := banked.At(i, k); got != w {
+				return fmt.Errorf("%s: output %d of sample %d: %s %d, plaintext %d",
+					c.Desc(), i, k, what, got, w)
+			}
+		}
+	}
+	return nil
 }
 
 // TestPeerBankedEquivalenceSweep: 40 consecutive seeds (one full pass
 // over the eta x ring grid, see TestSweepCoverage) under both ReLU
-// variants — remote-replenished peer-banked vs inline vs plaintext.
+// variants — peer-banked vs inline vs plaintext.
 func TestPeerBankedEquivalenceSweep(t *testing.T) {
 	for _, v := range []struct {
 		name string
@@ -116,25 +171,8 @@ func TestPeerBankedEquivalenceSweep(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: peer-banked run: %v", c.Desc(), err)
 					}
-					if banked.Rows != inline.Rows || banked.Cols != inline.Cols {
-						t.Fatalf("%s: banked output %dx%d, inline %dx%d",
-							c.Desc(), banked.Rows, banked.Cols, inline.Rows, inline.Cols)
-					}
-					for i := range inline.Data {
-						if banked.Data[i] != inline.Data[i] {
-							t.Fatalf("%s: output element %d: peer-banked %d, inline %d",
-								c.Desc(), i, banked.Data[i], inline.Data[i])
-						}
-					}
-					rg := ring.New(c.RingBits)
-					for k, x := range c.Inputs {
-						want := c.Model.ForwardRing(rg, c.Model.EncodeInput(rg, x))
-						for i, w := range want {
-							if got := banked.At(i, k); got != w {
-								t.Fatalf("%s: output %d of sample %d: peer-banked %d, plaintext %d",
-									c.Desc(), i, k, got, w)
-							}
-						}
+					if err := checkBitIdentical(c, "peer-banked", banked, inline); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}

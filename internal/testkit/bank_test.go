@@ -1,68 +1,101 @@
 package testkit
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"abnn2"
-	"abnn2/internal/bank"
 	"abnn2/internal/core"
 	"abnn2/internal/nn"
-	"abnn2/internal/prg"
-	"abnn2/internal/quant"
+	"abnn2/internal/plan"
 	"abnn2/internal/ring"
+	"abnn2/internal/serve"
 )
 
-// The dual-execution equivalence suite for the offline correlation
-// bank: every case runs once with the offline phase inline and once
-// with both parties drawing from a shared bank (OfflineBanked, so a
-// silent inline fallback would fail the run), and the client outputs
-// must match bit for bit — and both must match the plaintext ring
-// reference. The bank's correlations come from the same two-party
-// protocol the inline path runs, just ahead of time and under the
-// bank's own randomness, so agreement here certifies that banked
-// provisioning changes *when* the offline phase happens and nothing
-// else.
+// The dual-execution equivalence suite for banked provisioning through
+// the serving runtime: every case runs once with the offline phase
+// inline and once provisioned the way a deployment provisions it — the
+// client replenishes through the runtime's offline handshake, then a
+// strict-banked session (OfflineBanked on both sides, so a silent inline
+// fallback fails the run) is admitted against the server's stored
+// halves. Outputs must match bit for bit, and both must match the
+// plaintext ring reference: banked provisioning changes *when* the
+// offline phase happens and nothing else.
 
-// runBanked executes the case with both endpoints provisioning from a
-// freshly prewarmed correlation bank. The model is registered through
-// its JSON wire round-trip because the server derives its pool key from
-// the model it loads off the wire; the pool must be keyed identically.
-func runBanked(c *Case, optRelu bool) (*ring.Mat, error) {
+// runBanked executes the case through a serving runtime whose store is
+// filled by one offline-replenishment session. The model travels
+// through its JSON wire form, as it does to a server.
+func runBanked(t *testing.T, c *Case, optRelu bool) (*ring.Mat, error) {
 	data, err := nn.MarshalQuantized(c.Model)
 	if err != nil {
 		return nil, fmt.Errorf("marshal model: %w", err)
 	}
-	qm, err := nn.UnmarshalQuantized(data)
+	qm, err := abnn2.LoadQuantizedModel(data)
 	if err != nil {
-		return nil, fmt.Errorf("unmarshal model: %w", err)
+		return nil, fmt.Errorf("load model: %w", err)
 	}
-	b := bank.New(bank.Options{Capacity: 1, Seed: 0xB000 + c.Seed})
-	defer b.Close()
-	id, err := b.RegisterModel(qm)
+	reg := serve.NewRegistry()
+	if _, err := reg.Add("case", qm); err != nil {
+		return nil, err
+	}
+	srvStore, srvBank := durableSweepParty(t, 0xA000+c.Seed)
+	cliStore, cliBank := durableSweepParty(t, 0xB000+c.Seed)
+	rt, err := serve.New(serve.Options{Registry: reg, Bank: srvBank, Session: abnn2.Config{
+		RingBits: c.RingBits, Seed: 2*c.Seed + 1, OptimizedReLU: optRelu,
+		OfflineMode: abnn2.OfflineBanked}})
 	if err != nil {
-		return nil, fmt.Errorf("register model: %w", err)
+		return nil, err
 	}
-	key := bank.Key{Model: id, Scheme: c.Scheme, RingBits: c.RingBits,
-		Batch: c.Batch, Backend: bank.SessionBackend}
-	if err := b.Prewarm(key, 1); err != nil {
-		return nil, fmt.Errorf("prewarm %v: %w", key, err)
+	ctx := context.Background()
+	serveConn := func() (abnn2.Conn, <-chan error) {
+		sconn, cconn := abnn2.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- rt.HandleConn(ctx, sconn, "sweep") }()
+		return cconn, done
 	}
-	return RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
-		cfg.OptimizedReLU = optRelu
-		cfg.Bank = b
-		cfg.OfflineMode = abnn2.OfflineBanked
-		if !server {
-			cfg.BankModel = id
-		}
-	})
+
+	conn, done := serveConn()
+	info, err := serve.ClientHandshakeOffline(conn, "case", cliStore.PeerID().String())
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("offline handshake: %w", err)
+	}
+	got, err := abnn2.ReplenishSession(ctx, conn, info.Arch, abnn2.Config{RingBits: c.RingBits,
+		Seed: 2*c.Seed + 3, Bank: cliBank, BankModel: info.BankID}, srvStore.PeerID(), c.Batch, 1)
+	conn.Close()
+	if serr := <-done; err == nil && serr != nil {
+		err = fmt.Errorf("offline serve: %w", serr)
+	}
+	if err != nil || got != 1 {
+		return nil, fmt.Errorf("replenish: stored %d, %v", got, err)
+	}
+
+	conn, done = serveConn()
+	if info, err = serve.ClientHandshakeInfo(conn, "case"); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("handshake: %w", err)
+	}
+	client, err := abnn2.Dial(conn, info.Arch, abnn2.Config{RingBits: c.RingBits,
+		Seed: 2*c.Seed + 2, OptimizedReLU: optRelu, Bank: cliBank,
+		OfflineMode: abnn2.OfflineBanked, BankModel: info.BankID, BankPeer: info.Peer})
+	if err != nil {
+		conn.Close()
+		<-done
+		return nil, fmt.Errorf("dial: %w", err)
+	}
+	out, err := client.Infer(c.Inputs)
+	client.Close()
+	if serr := <-done; err == nil && serr != nil {
+		err = fmt.Errorf("server: %w", serr)
+	}
+	return out, err
 }
 
-// TestBankedEquivalenceSweep is the banked arm of the differential
-// sweep: 40 consecutive seeds (one full pass over the eta x ring grid,
-// see TestSweepCoverage) under both ReLU variants, banked vs inline vs
-// plaintext.
+// TestBankedEquivalenceSweep is the serving-runtime arm of the
+// differential sweep: 40 consecutive seeds (one full pass over the eta
+// x ring grid, see TestSweepCoverage) under both ReLU variants, banked
+// through the runtime vs inline vs plaintext.
 func TestBankedEquivalenceSweep(t *testing.T) {
 	for _, v := range []struct {
 		name string
@@ -81,31 +114,12 @@ func TestBankedEquivalenceSweep(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: inline run: %v", c.Desc(), err)
 					}
-					banked, err := runBanked(c, v.opt)
+					banked, err := runBanked(t, c, v.opt)
 					if err != nil {
 						t.Fatalf("%s: banked run: %v", c.Desc(), err)
 					}
-					if banked.Rows != inline.Rows || banked.Cols != inline.Cols {
-						t.Fatalf("%s: banked output %dx%d, inline %dx%d",
-							c.Desc(), banked.Rows, banked.Cols, inline.Rows, inline.Cols)
-					}
-					for i := range inline.Data {
-						if banked.Data[i] != inline.Data[i] {
-							t.Fatalf("%s: output element %d: banked %d, inline %d",
-								c.Desc(), i, banked.Data[i], inline.Data[i])
-						}
-					}
-					// Both arms against the plaintext reference: agreement
-					// between two secure runs alone could hide a shared bug.
-					rg := ring.New(c.RingBits)
-					for k, x := range c.Inputs {
-						want := c.Model.ForwardRing(rg, c.Model.EncodeInput(rg, x))
-						for i, w := range want {
-							if got := banked.At(i, k); got != w {
-								t.Fatalf("%s: output %d of sample %d: banked %d, plaintext %d",
-									c.Desc(), i, k, got, w)
-							}
-						}
+					if err := checkBitIdentical(c, "banked", banked, inline); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}
@@ -113,100 +127,66 @@ func TestBankedEquivalenceSweep(t *testing.T) {
 	}
 }
 
-// TestBankMatmulBackendPools runs every secure-matmul backend as a bank
-// Producer: pairs drawn from the pool must (a) reconstruct to W*R over
-// the ring and (b) be bit-identical to calling the backend directly with
-// the seed the producer drew — the bank adds queueing, not arithmetic.
+// findCase returns the first generated FC case satisfying ok.
+func findCase(t *testing.T, ok func(*Case) bool) *Case {
+	t.Helper()
+	for seed := uint64(0); seed < 1000; seed++ {
+		if c := Generate(seed); c.Model.Layers[0].Conv == nil && ok(c) {
+			return c
+		}
+	}
+	t.Fatal("no generated case fits")
+	return nil
+}
+
+// TestBankMatmulBackendPools runs every offline matmul backend as a
+// peer-paired pool: a case is replenished under the uniform plan of the
+// backend, and the session provisioned from that plan's pool must be
+// bit-identical to the same plan run inline and to the plaintext
+// reference — the bank adds storage, not arithmetic, for every backend.
 func TestBankMatmulBackendPools(t *testing.T) {
-	scheme := quant.NewBitScheme(true, 2, 2)
+	ternary := func(c *Case) bool { return c.Scheme == "binary" || c.Scheme == "ternary" }
 	backends := []struct {
 		name    string
-		run     MatmulFunc
-		o       int
-		ternary bool
+		backend core.BackendID
+		fits    func(*Case) bool
 	}{
-		{"abnn2-onebatch", ABNN2Matmul(scheme, core.OneBatch), 1, false},
-		{"abnn2-multibatch", ABNN2Matmul(scheme, core.MultiBatch), 3, false},
-		{"secureml", SecureMLMatmul(), 2, false},
-		{"minionn-512", MiniONNMatmul(512), 2, false},
-		{"quotient", QuotientMatmul(), 1, true},
+		{"abnn2-onebatch", core.BackendABNN2, func(c *Case) bool { return c.Batch == 1 }},
+		{"abnn2-multibatch", core.BackendABNN2, func(c *Case) bool { return c.Batch > 1 }},
+		{"secureml", core.BackendSecureML, func(c *Case) bool { return c.Batch > 1 }},
+		{"minionn-512", core.BackendMiniONN, func(c *Case) bool { return c.Batch > 1 }},
+		{"quotient", core.BackendQuotient, func(c *Case) bool { return c.Batch == 1 && ternary(c) }},
 	}
-	for bi, be := range backends {
-		bi, be := bi, be
+	for _, be := range backends {
+		be := be
 		t.Run(be.name, func(t *testing.T) {
 			t.Parallel()
-			rg := ring.New(32)
-			prng := prg.New(prg.SeedFromInt(uint64(0xFACE + bi)))
-			const m, n, draws = 4, 5, 3
-			W := make([]int64, m*n)
-			lo, hi := scheme.Range()
-			for i := range W {
-				if be.ternary {
-					W[i] = int64(prng.Intn(3) - 1)
-				} else {
-					W[i] = lo + int64(prng.Intn(int(hi-lo+1)))
-				}
+			c := findCase(t, be.fits)
+			p := plan.Uniform(be.backend, len(c.Model.Layers))
+			if err := p.Validate(core.ArchOf(c.Model), c.Batch); err != nil {
+				t.Fatalf("%s: plan %s: %v", c.Desc(), p, err)
 			}
-			R := prng.Mat(rg, n, be.o)
-
-			b := bank.New(bank.Options{Capacity: draws, Seed: uint64(0xC0 + bi)})
-			defer b.Close()
-			key := bank.Key{Model: "matmul-oracle", Scheme: be.name,
-				RingBits: 32, Batch: be.o, Backend: be.name}
-			var mu sync.Mutex
-			var seeds []uint64
-			err := b.RegisterProducer(key, func(rng *prg.PRG) (bank.Pair, error) {
-				s := rng.Uint64()
-				mu.Lock()
-				seeds = append(seeds, s)
-				mu.Unlock()
-				U, V, err := be.run(rg, W, m, n, R, s)
-				return bank.Pair{Server: U, Client: V}, err
+			planned := func(server bool, cfg *abnn2.Config) {
+				cfg.Plan = p
+				cfg.MiniONNKeyBits = planSweepKeyBits
+			}
+			inline, err := RunSecureCfg(c, 0, planned)
+			if err != nil {
+				t.Fatalf("%s: inline run: %v", c.Desc(), err)
+			}
+			banked, err := peerBanked(t, c, p, planSweepKeyBits)
+			if err != nil {
+				t.Fatalf("%s: %v", c.Desc(), err)
+			}
+			out, err := RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
+				planned(server, cfg)
+				banked(server, cfg)
 			})
 			if err != nil {
-				t.Fatalf("register producer: %v", err)
+				t.Fatalf("%s: banked run: %v", c.Desc(), err)
 			}
-			if err := b.Prewarm(key, draws); err != nil {
-				t.Fatalf("prewarm: %v", err)
-			}
-			Wm := ring.NewMat(m, n)
-			for i, w := range W {
-				Wm.Data[i] = rg.FromSigned(w)
-			}
-			want := rg.MulMat(Wm, R)
-			for d := 0; d < draws; d++ {
-				id, clientHalf, ok := b.Acquire(key)
-				if !ok {
-					t.Fatalf("draw %d: pool dry after prewarm", d)
-				}
-				serverHalf, ok := b.Claim(id, key)
-				if !ok {
-					t.Fatalf("draw %d: claim %d failed", d, id)
-				}
-				U, V := serverHalf.(*ring.Mat), clientHalf.(*ring.Mat)
-				got := rg.AddMat(U, V)
-				for i := range want.Data {
-					if got.Data[i] != want.Data[i] {
-						t.Fatalf("draw %d: U+V mismatch at %d: got %d, want %d",
-							d, i, got.Data[i], want.Data[i])
-					}
-				}
-				// Bit-identity against a direct call with the drawn seed:
-				// pool FIFO order matches producer call order, so seeds[d]
-				// is the seed behind this pair.
-				mu.Lock()
-				s := seeds[d]
-				mu.Unlock()
-				Ud, Vd, err := be.run(rg, W, m, n, R, s)
-				if err != nil {
-					t.Fatalf("draw %d: direct run: %v", d, err)
-				}
-				for i := range Ud.Data {
-					if U.Data[i] != Ud.Data[i] || V.Data[i] != Vd.Data[i] {
-						t.Fatalf("draw %d: banked share differs from direct call at %d: "+
-							"U %d vs %d, V %d vs %d", d, i, U.Data[i], Ud.Data[i], V.Data[i], Vd.Data[i])
-					}
-				}
+			if err := checkBitIdentical(c, be.name+" banked", out, inline); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -207,12 +207,12 @@ func main() {
 
 	sb := bank.EncodeServerCorr(scorr)
 	cb := bank.EncodeClientCorr(ccorr)
-	pb := bank.EncodePair(scorr, ccorr)
 	corrEntries := []entry{
-		{sb}, {cb}, {pb},
-		{sb[:len(sb)-3]}, // truncated matrix body
-		{cb[:len(cb)-1]}, // truncated Z1 tail
-		{g.Bytes(len(pb))},
+		{sb}, {cb},
+		{append([]byte{'P'}, sb...)}, // retired two-half tag
+		{sb[:len(sb)-3]},             // truncated matrix body
+		{cb[:len(cb)-1]},             // truncated Z1 tail
+		{g.Bytes(5 + len(sb) + len(cb))},
 		{[]byte{}},
 	}
 	writeCorpus("internal/bank/testdata/fuzz/FuzzDecodeCorr", corrEntries)
@@ -251,4 +251,37 @@ func main() {
 		{[]byte{}},
 	}
 	writeCorpus("internal/plan/testdata/fuzz/FuzzUnmarshalPlan", planEntries)
+
+	// internal/core: the batch announcement. Seed every valid flag
+	// combination (inline, banked, planned, all three) and the exact
+	// rejection boundaries the decoder enforces: a bad version, an
+	// unknown flag bit, a torn banked tail, a plan length running past
+	// the end, trailing bytes, and an over-long frame.
+	var peer [16]byte
+	copy(peer[:], g.Bytes(16))
+	inline := core.Announcement{Batch: 1}.Marshal()
+	banked := core.Announcement{Batch: 32, Banked: true, CorrID: g.Uint64(), Peer: peer}.Marshal()
+	planned := core.Announcement{Batch: 2, Plan: mixedPlan.Marshal()}.Marshal()
+	all := core.Announcement{Batch: 3, Argmax: true, Banked: true, CorrID: 7, Peer: peer,
+		Plan: onePlan.Marshal()}.Marshal()
+	badVersion := append([]byte{}, inline...)
+	badVersion[0] = core.AnnounceVersion + 1
+	badFlags := append([]byte{}, inline...)
+	badFlags[1] = 0x80
+	planPastEnd := append([]byte{}, planned...)
+	planPastEnd[6]++ // low byte of the plan length
+	annEntries := []entry{
+		{inline},
+		{banked},
+		{planned},
+		{all},
+		{badVersion},
+		{badFlags},
+		{banked[:len(banked)-5]}, // torn banked tail
+		{planPastEnd},
+		{append(append([]byte{}, all...), 0x00)}, // trailing byte
+		{append(append([]byte{}, inline...), peer[:]...)}, // over-long inline frame
+		{[]byte{}},
+	}
+	writeCorpus("internal/core/testdata/fuzz/FuzzUnmarshalAnnouncement", annEntries)
 }

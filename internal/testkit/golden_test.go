@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"abnn2"
-	"abnn2/internal/bank"
 	"abnn2/internal/baseot"
 	"abnn2/internal/core"
 	"abnn2/internal/gc"
@@ -388,12 +387,14 @@ func sumSpanBytes(spans []abnn2.TraceSpan, name string) int64 {
 }
 
 // TestGoldenSessionBanked pins the wire transcript of the fixed seed-3
-// case served from a correlation bank, and proves the offline/online
-// claim behind the bank through per-party trace spans: the banked
-// session's "online" phase moves exactly the same bytes, messages and
-// flights as the inline session's, while the inline "offline" wire
-// traffic vanishes — drawing and claiming a correlation costs zero wire
-// bytes (the 13-byte announcement is the whole provisioning flight).
+// case served from peer-paired stored correlations (replenished by a
+// seeded offline session, with pinned store peer ids), and proves the
+// offline/online claim behind the bank through per-party trace spans:
+// the banked session's "online" phase moves exactly the same bytes,
+// messages and flights as the inline session's, while the inline
+// "offline" wire traffic vanishes — drawing and claiming a stored
+// correlation costs zero wire bytes (the banked announcement is the
+// whole provisioning flight).
 func TestGoldenSessionBanked(t *testing.T) {
 	c := Generate(3) // fixed case: ring 33, unsigned 4-bit, batch 3 (multi-batch FC)
 
@@ -406,37 +407,17 @@ func TestGoldenSessionBanked(t *testing.T) {
 		}
 	})
 
-	// Bank keyed by the wire round-trip of the model, like the server's
-	// own derivation.
-	data, err := nn.MarshalQuantized(c.Model)
+	banked, err := peerBanked(t, c, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qm, err := nn.UnmarshalQuantized(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := bank.New(bank.Options{Capacity: 1, Seed: 0xBA2})
-	defer b.Close()
-	id, err := b.RegisterModel(qm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := bank.Key{Model: id, Scheme: c.Scheme, RingBits: c.RingBits,
-		Batch: c.Batch, Backend: bank.SessionBackend}
-	if err := b.Prewarm(key, 1); err != nil {
-		t.Fatal(err)
-	}
-
 	bankSrvTr, bankCliTr := abnn2.NewTraceCollector(), abnn2.NewTraceCollector()
 	srv, cli := sessionTranscripts(t, c, 1, c.Inputs, func(server bool, cfg *abnn2.Config) {
-		cfg.Bank = b
-		cfg.OfflineMode = abnn2.OfflineBanked
+		banked(server, cfg)
 		if server {
 			cfg.Trace = bankSrvTr
 		} else {
 			cfg.Trace = bankCliTr
-			cfg.BankModel = id
 		}
 	})
 	parties := []PartyTranscript{
@@ -475,7 +456,7 @@ func TestGoldenSessionBanked(t *testing.T) {
 		if got := sumSpanBytes(p.banked, "offline"); got != 0 {
 			t.Errorf("%s: banked session ran an inline offline phase (%d wire bytes)", p.name, got)
 		}
-		bankSpan := onlySpan(t, p.name+" banked", p.banked, "bank")
+		bankSpan := onlySpan(t, p.name+" banked", p.banked, "bank-peer")
 		if bankSpan.Bytes() != 0 {
 			t.Errorf("%s: drawing/claiming a correlation moved %d wire bytes, want 0",
 				p.name, bankSpan.Bytes())

@@ -79,8 +79,11 @@ func overrideScheme(rng *prg.PRG, smin, smax int64) string {
 // assignment, runs the session under that plan on both parties, and
 // demands bit-identity against both the plaintext ring reference
 // (nn.ForwardRing) and the same case run single-backend (the all-ABNN2
-// default). Any backend whose triplet shares drift from the others by
-// even one ring element fails here with a reproducing seed.
+// default). Its peer-banked arm then replenishes one correlation under
+// the plan and runs the case provisioned from the plan's pool, which
+// must match the inline planned run and the plaintext reference too.
+// Any backend whose triplet shares drift from the others by even one
+// ring element fails here with a reproducing seed.
 func TestMixedPlanSweep(t *testing.T) {
 	for seed := 0; seed < planSweepSeeds; seed++ {
 		seed := seed
@@ -101,6 +104,21 @@ func TestMixedPlanSweep(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("%s: plan %s: %v", c.Desc(), p, err)
+			}
+			hook, err := peerBanked(t, c, p, planSweepKeyBits)
+			if err != nil {
+				t.Fatalf("%s: plan %s: %v", c.Desc(), p, err)
+			}
+			banked, err := RunSecureCfg(c, 0, func(server bool, cfg *abnn2.Config) {
+				cfg.Plan = p
+				cfg.MiniONNKeyBits = planSweepKeyBits
+				hook(server, cfg)
+			})
+			if err != nil {
+				t.Fatalf("%s: plan %s: peer-banked run: %v", c.Desc(), p, err)
+			}
+			if err := checkBitIdentical(c, "peer-banked plan "+p.String(), banked, planned); err != nil {
+				t.Fatal(err)
 			}
 			uniform, err := RunSecure(c, 0)
 			if err != nil {

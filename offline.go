@@ -1,13 +1,14 @@
 package abnn2
 
-// Remote offline sessions: a genuinely remote client/server pair runs
-// the real two-party offline protocol over its connection ahead of need
-// and each party durably stores its own half of every correlation,
-// keyed by the peer it generated with. No in-process dealer is
-// involved — the material is exactly what a live offline phase produces,
-// because it IS a live offline phase, just run early. Later online
-// sessions announce a stored correlation id (plus the client's peer id)
-// and skip the offline phase entirely.
+// Offline sessions: a client/server pair runs the real two-party offline
+// protocol over its connection ahead of need and each party durably
+// stores its own half of every correlation, keyed by the peer it
+// generated with. This is the only way correlations are provisioned: the
+// material is exactly what a live offline phase produces, because it IS
+// a live offline phase, just run early. Later online sessions announce a
+// stored correlation id (plus the client's peer id) and skip the offline
+// phase entirely. A session configured with a Plan generates under the
+// plan's per-layer schedule into the plan's pools.
 //
 // Wire protocol, after the serve-layer offline handshake, all little-
 // endian, one correlation per round trip:
@@ -39,9 +40,8 @@ import (
 	"abnn2/internal/transport"
 )
 
-// offlineSessionTag is the OT session tag of remote offline sessions,
-// distinct from both live sessions and the bank's internal dealer
-// (0xBA).
+// offlineSessionTag is the OT session tag of offline sessions, distinct
+// from the live session tags.
 const offlineSessionTag = 0xBC
 
 const (
@@ -52,24 +52,31 @@ const (
 	offlineDone = 'D'
 )
 
-// ServeOfflineSession runs the server side of a remote offline-
-// replenishment session until the client sends done or hangs up. Every
-// generated server half is persisted under the client's peer id before
-// it is acknowledged; cfg.Bank must carry a recovered durable store.
-// Returns nil on a clean client shutdown.
+// ServeOfflineSession runs the server side of an offline-replenishment
+// session until the client sends done or hangs up. Every generated
+// server half is persisted under the client's peer id before it is
+// acknowledged; cfg.Bank is required. cfg.Plan, when set, must be the
+// plan the client replenishes under. Returns nil on a clean client
+// shutdown.
 func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, cfg Config, clientPeer BankPeerID) error {
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	if cfg.Bank == nil || cfg.Bank.Store() == nil {
-		return fmt.Errorf("abnn2: offline sessions require a bank with a durable store")
+	if cfg.Bank == nil {
+		return fmt.Errorf("abnn2: offline sessions require Config.Bank")
+	}
+	arch := model.Arch()
+	sched, backend, err := cfg.planSchedule(arch, 1)
+	if err != nil {
+		return err
 	}
 	b := cfg.Bank
 	sc := newSessionConn(ctx, conn, cfg.RoundTimeout, cfg.flightFunc("server"))
 	defer sc.release()
 	tr := cfg.tracer(sc, "server")
 	scheme := model.qm.Layers[0].Scheme
-	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: tr}
+	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: tr,
+		MiniONNBits: cfg.MiniONNKeyBits}
 	modelID, err := bank.ModelID(model.qm)
 	if err != nil {
 		return err
@@ -82,7 +89,7 @@ func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, 
 	if err != nil {
 		return err
 	}
-	keyBase := BankKey{Model: modelID, Scheme: scheme.Name(), RingBits: cfg.ringBits(), Backend: bank.SessionBackend}
+	keyBase := BankKey{Model: modelID, Scheme: scheme.Name(), RingBits: cfg.ringBits(), Backend: backend}
 	for {
 		raw, err := sc.recvIdle()
 		if err != nil {
@@ -99,8 +106,13 @@ func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, 
 		}
 		id := binary.LittleEndian.Uint64(raw[1:9])
 		batch := int(binary.LittleEndian.Uint32(raw[9:13]))
-		if batch <= 0 || batch > 1<<20 {
+		if batch <= 0 || batch > core.MaxBatch {
 			return fmt.Errorf("abnn2: offline request batch %d out of range", batch)
+		}
+		if cfg.Plan != nil {
+			if err := cfg.Plan.Validate(arch, batch); err != nil {
+				return fmt.Errorf("abnn2: %w", err)
+			}
 		}
 		key := keyBase
 		key.Batch = batch
@@ -117,7 +129,7 @@ func ServeOfflineSession(ctx context.Context, conn Conn, model *QuantizedModel, 
 		}
 		osp := tr.Start("offline-replenish").SetBatch(batch)
 		corr, err := guardVal("offline replenish", func() (*core.ServerCorr, error) {
-			return strip.OfflineCorr(model.qm, batch)
+			return strip.OfflineCorrSched(model.qm, batch, sched)
 		})
 		osp.End(err)
 		if err != nil {
@@ -141,25 +153,28 @@ func sendOfflineReply(sc *sessionConn, status byte, id uint64) error {
 	return sc.Send(msg)
 }
 
-// ReplenishSession runs the client side of a remote offline session over
-// an admitted offline connection: it requests up to n correlations of
-// the given batch size and durably stores every acknowledged client
-// half under serverPeer. cfg.BankModel must be the server's bank id
-// (from the offline handshake) so both parties key the same pool.
+// ReplenishSession runs the client side of an offline session over an
+// admitted offline connection: it requests up to n correlations of the
+// given batch size and durably stores every acknowledged client half
+// under serverPeer. cfg.BankModel must be the server's bank id (from the
+// offline handshake) so both parties key the same pool; cfg.Plan, when
+// set, selects the plan pool and schedule. Correlation ids are drawn
+// from the session's randomness, so a seeded session is reproducible.
 // Returns how many correlations landed; fewer than n with a nil error
 // means the server's pool for this peer is at capacity.
 func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, serverPeer BankPeerID, batch, n int) (int, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
-	if cfg.Bank == nil || cfg.Bank.Store() == nil {
-		return 0, fmt.Errorf("abnn2: replenish sessions require a bank with a durable store")
+	if cfg.Bank == nil || cfg.BankModel == "" {
+		return 0, fmt.Errorf("abnn2: replenish sessions require Config.Bank and Config.BankModel")
 	}
-	if cfg.BankModel == "" {
-		return 0, fmt.Errorf("abnn2: replenish sessions require Config.BankModel")
-	}
-	if batch <= 0 || batch > 1<<20 {
+	if batch <= 0 || batch > core.MaxBatch {
 		return 0, fmt.Errorf("abnn2: batch size %d out of range", batch)
+	}
+	sched, backend, err := cfg.planSchedule(arch, batch)
+	if err != nil {
+		return 0, err
 	}
 	b := cfg.Bank
 	scheme, err := quant.Parse(arch.SchemeName)
@@ -169,9 +184,10 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 	sc := newSessionConn(ctx, conn, cfg.RoundTimeout, cfg.flightFunc("client"))
 	defer sc.release()
 	tr := cfg.tracer(sc, "client")
-	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: tr}
+	p := core.Params{Ring: ring.New(cfg.ringBits()), Scheme: scheme, Workers: cfg.Workers, Trace: tr,
+		MiniONNBits: cfg.MiniONNKeyBits}
 	root := cfg.rng()
-	trng, shares := root.Child("triplets"), root.Child("shares")
+	trng, shares, ids := root.Child("triplets"), root.Child("shares"), root.Child("ids")
 	sp := tr.Start("setup")
 	ctrip, err := guardVal("replenish setup", func() (*core.ClientTriplets, error) {
 		return core.NewClientTriplets(sc, p, offlineSessionTag, trng)
@@ -181,7 +197,7 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 		return 0, err
 	}
 	key := BankKey{Model: cfg.BankModel, Scheme: arch.SchemeName, RingBits: cfg.ringBits(),
-		Batch: batch, Backend: bank.SessionBackend}
+		Batch: batch, Backend: backend}
 	done := func(got int) (int, error) {
 		// Best-effort: the server also treats a hangup as a clean end.
 		_ = sc.Send([]byte{offlineDone})
@@ -193,7 +209,7 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 			_, _ = done(got)
 			return got, ctx.Err()
 		}
-		id := bank.NewCorrID()
+		id := bank.NewCorrID(ids)
 		req := make([]byte, 13)
 		req[0] = offlineReq
 		binary.LittleEndian.PutUint64(req[1:9], id)
@@ -213,7 +229,7 @@ func ReplenishSession(ctx context.Context, conn Conn, arch Arch, cfg Config, ser
 		}
 		osp := tr.Start("offline-replenish").SetBatch(batch)
 		corr, err := guardVal("replenish offline", func() (*core.ClientCorr, error) {
-			return ctrip.OfflineCorr(arch, shares, batch)
+			return ctrip.OfflineCorrSched(arch, shares, batch, sched)
 		})
 		osp.End(err)
 		if err != nil {

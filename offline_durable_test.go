@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// Remote offline session suite: the no-dealer replenishment path end to
-// end — two genuinely separate stores filled over a pipe by the real
-// two-party offline protocol, peer-banked online sessions provisioned
+// Offline session suite: the replenishment path end to end — two
+// separate stores filled over a pipe by the real two-party offline
+// protocol, peer-banked online sessions provisioned
 // from them, single-use across simulated crashes, and error-not-hang
 // under link faults.
 
@@ -89,7 +89,7 @@ func peerConfigs(t *testing.T, qm *QuantizedModel, srv, cli *durableParty) (Conf
 
 // TestRemoteOfflinePeerBanked: replenish over the wire, then serve a
 // banked batch from the stored peer pairs and check the predictions
-// against the plaintext model. No dealer exists anywhere in this test.
+// against the plaintext model.
 func TestRemoteOfflinePeerBanked(t *testing.T) {
 	qm := chaosModel(t)
 	time.Sleep(20 * time.Millisecond)
