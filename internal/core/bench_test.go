@@ -103,11 +103,11 @@ func benchReLU(b *testing.B, variant ReLUVariant, n int) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			if err := cn.ReLUClient(variant, y1, z1); err != nil {
+			if err := cn.Reshare(Junction{ReLU: true, Variant: variant}, y1, z1); err != nil {
 				b.Error(err)
 			}
 		}()
-		if _, err := sn.ReLUServer(variant, y0); err != nil {
+		if _, err := sn.Reshare(Junction{ReLU: true, Variant: variant}, y0); err != nil {
 			b.Fatal(err)
 		}
 		cwg.Wait()
@@ -153,11 +153,11 @@ func BenchmarkMaxPool256Windows(b *testing.B) {
 		cwg.Add(1)
 		go func() {
 			defer cwg.Done()
-			if err := cn.MaxPoolClient(y1, z1, windows, true); err != nil {
+			if err := cn.Reshare(Junction{Windows: windows, ReLU: true}, y1, z1); err != nil {
 				b.Error(err)
 			}
 		}()
-		if _, err := sn.MaxPoolServer(y0, windows, true); err != nil {
+		if _, err := sn.Reshare(Junction{Windows: windows, ReLU: true}, y0); err != nil {
 			b.Fatal(err)
 		}
 		cwg.Wait()

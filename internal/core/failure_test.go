@@ -207,14 +207,14 @@ func runReLUFaulted(t *testing.T, variant ReLUVariant, cliPlan, srvPlan transpor
 		cn, err := NewClientNonlinear(fc, rg, sessionGC, prg.New(prg.SeedFromInt(21)))
 		if err == nil {
 			rng := prg.New(prg.SeedFromInt(22))
-			err = cn.ReLUClient(variant, rng.Vec(rg, n), rng.Vec(rg, n))
+			err = cn.Reshare(Junction{ReLU: true, Variant: variant}, rng.Vec(rg, n), rng.Vec(rg, n))
 		}
 		cliErr = err
 	}()
 	sn, err := NewServerNonlinear(fs, rg, sessionGC, prg.New(prg.SeedFromInt(23)))
 	if err == nil {
 		rng := prg.New(prg.SeedFromInt(24))
-		_, err = sn.ReLUServer(variant, rng.Vec(rg, n))
+		_, err = sn.Reshare(Junction{ReLU: true, Variant: variant}, rng.Vec(rg, n))
 	}
 	srvErr = err
 	select {

@@ -166,6 +166,20 @@ func foldBatch(y *ring.Mat, batch int) *ring.Mat {
 	return f
 }
 
+// garbled reports whether a garbled non-linear layer (ReLU, max-pool or
+// both) follows l's linear layer.
+func (l LayerSpec) garbled() bool { return l.ReLU || l.Pool != nil }
+
+// junction returns the garbled non-linear layer following l's linear
+// layer over a batch, or false when l's output passes through as is.
+func (l LayerSpec) junction(batch int, v ReLUVariant) (Junction, bool) {
+	j := Junction{ReLU: l.ReLU, Variant: v}
+	if l.Pool != nil {
+		j.Windows = poolWindowsFlat(l, batch)
+	}
+	return j, l.garbled()
+}
+
 // poolWindowsFlat builds the pooling window index lists over the
 // flattened (features x batch) layout, in the output order of the next
 // layer's share matrix.
@@ -394,25 +408,15 @@ func (e *ServerEngine) online(argmax bool) (err error) {
 		}
 		f0 := foldBatch(y0, e.batch)
 		msp.End(nil)
-		switch {
-		case spec.Pool != nil:
-			psp := e.params.Trace.Start("pool").SetLayer(li)
-			zvec, err := e.nl.MaxPoolServer(f0.Data, poolWindowsFlat(spec, e.batch), l.ReLU)
-			psp.End(err)
+		z0 = f0
+		if j, ok := spec.junction(e.batch, e.variant); ok {
+			gsp := e.params.Trace.Start(j.span()).SetLayer(li)
+			zvec, err := e.nl.Reshare(j, f0.Data)
+			gsp.End(err)
 			if err != nil {
-				return fmt.Errorf("core: server pool layer %d: %w", li, err)
+				return fmt.Errorf("core: server %s layer %d: %w", j.span(), li, err)
 			}
 			z0 = &ring.Mat{Rows: spec.OutputSize(), Cols: e.batch, Data: zvec}
-		case l.ReLU:
-			rsp := e.params.Trace.Start("relu").SetLayer(li)
-			zvec, err := e.nl.ReLUServer(e.variant, f0.Data)
-			rsp.End(err)
-			if err != nil {
-				return fmt.Errorf("core: server ReLU layer %d: %w", li, err)
-			}
-			z0 = &ring.Mat{Rows: spec.OutputSize(), Cols: e.batch, Data: zvec}
-		default:
-			z0 = f0
 		}
 	}
 	if argmax {
@@ -520,26 +524,18 @@ func (e *ClientEngine) predictShares(X *ring.Mat) (*ring.Mat, error) {
 			RequantVec1(rg, y1.Data, l.ReqC, l.ReqT)
 		}
 		f1 = foldBatch(y1, e.batch)
-		switch {
-		case l.Pool != nil:
-			psp := e.params.Trace.Start("pool").SetLayer(li)
-			err := e.nl.MaxPoolClient(f1.Data, e.z1[li].Data, poolWindowsFlat(l, e.batch), l.ReLU)
-			psp.End(err)
+		if j, ok := l.junction(e.batch, e.variant); ok {
+			gsp := e.params.Trace.Start(j.span()).SetLayer(li)
+			err := e.nl.Reshare(j, f1.Data, e.z1[li].Data)
+			gsp.End(err)
 			if err != nil {
-				return nil, fmt.Errorf("core: client pool layer %d: %w", li, err)
-			}
-		case l.ReLU:
-			rsp := e.params.Trace.Start("relu").SetLayer(li)
-			err := e.nl.ReLUClient(e.variant, f1.Data, e.z1[li].Data)
-			rsp.End(err)
-			if err != nil {
-				return nil, fmt.Errorf("core: client ReLU layer %d: %w", li, err)
+				return nil, fmt.Errorf("core: client %s layer %d: %w", j.span(), li, err)
 			}
 		}
 	}
 	// If the final layer ends in a GC reshare, the client's output share
 	// is the z1 it chose for that layer, not the triplet share.
-	if last := len(e.arch.Layers) - 1; e.arch.Layers[last].ReLU || e.arch.Layers[last].Pool != nil {
+	if last := len(e.arch.Layers) - 1; e.arch.Layers[last].garbled() {
 		f1 = e.z1[last]
 	}
 	return f1, nil

@@ -30,9 +30,9 @@ func runMaxPool(t *testing.T, rg ring.Ring, ys []int64, windows [][]int, withReL
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cerr = cn.MaxPoolClient(y1, z1, windows, withReLU)
+		cerr = cn.Reshare(Junction{Windows: windows, ReLU: withReLU}, y1, z1)
 	}()
-	z0, serr := sn.MaxPoolServer(y0, windows, withReLU)
+	z0, serr := sn.Reshare(Junction{Windows: windows, ReLU: withReLU}, y0)
 	wg.Wait()
 	if cerr != nil || serr != nil {
 		t.Fatalf("maxpool: client=%v server=%v", cerr, serr)
@@ -78,7 +78,7 @@ func TestMaxPoolGatheredOrder(t *testing.T) {
 
 func TestMaxPoolChunkBoundary(t *testing.T) {
 	rg := ring.New(16)
-	nWin := poolChunk + 3
+	nWin := gcChunkWords/2 + 3 // two-value windows
 	ys := make([]int64, nWin*2)
 	windows := make([][]int, nWin)
 	want := make([]int64, nWin)
@@ -99,11 +99,14 @@ func TestMaxPoolChunkBoundary(t *testing.T) {
 func TestMaxPoolValidation(t *testing.T) {
 	cn, _, _, done := nonlinearPair(t, ring.New(16))
 	defer done()
-	if err := cn.MaxPoolClient(make(ring.Vec, 4), make(ring.Vec, 1), [][]int{{0, 1}, {2, 3}}, false); err == nil {
+	if err := cn.Reshare(Junction{Windows: [][]int{{0, 1}, {2, 3}}}, make(ring.Vec, 4), make(ring.Vec, 1)); err == nil {
 		t.Error("z1/window count mismatch accepted")
 	}
-	if err := cn.MaxPoolClient(make(ring.Vec, 4), make(ring.Vec, 2), [][]int{{0, 1}, {2}}, false); err == nil {
+	if err := cn.Reshare(Junction{Windows: [][]int{{0, 1}, {2}}}, make(ring.Vec, 4), make(ring.Vec, 2)); err == nil {
 		t.Error("ragged windows accepted")
+	}
+	if err := cn.Reshare(Junction{Windows: [][]int{}}, make(ring.Vec, 4), nil); err == nil {
+		t.Error("empty window set accepted")
 	}
 }
 

@@ -9,7 +9,10 @@ import (
 	"abnn2/internal/transport"
 )
 
-// Non-linear layer protocols (paper section 4.2). Two variants:
+// Non-linear layer protocols (paper section 4.2). Every garbled layer —
+// ReLU, max-pool, or pool with fused ReLU — runs through one Reshare
+// per party; a ReLU layer is the window-1 max-pool with the ReLU fused
+// in (see Junction). ReLU layers come in two variants:
 //
 //   - ReLUGC: Algorithm 2 run for f = ReLU. The whole computation
 //     y = y0+y1, z0 = max(0,y) - z1 happens inside one garbled circuit;
@@ -44,75 +47,132 @@ func (v ReLUVariant) String() string {
 	return "gc"
 }
 
-// reluChunk bounds neurons per garbled circuit. Chunking keeps the
-// garbler/evaluator working set tens of megabytes even at batch size 128
-// on the 784->128 layer (one circuit per chunk; chunks run sequentially
-// on the same session).
-const reluChunk = 2048
+// gcChunkWords bounds the pre-activation words one garbled circuit
+// takes from each party: 2048 neurons of a ReLU layer, or 512 2x2
+// pooling windows. Chunking keeps the garbler/evaluator working set tens
+// of megabytes even at batch size 128 on the 784->128 layer (one circuit
+// per chunk; a layer's chunks garble as one batch).
+const gcChunkWords = 2048
+
+// circuitKind names a circuit family of the garbled-circuit session.
+type circuitKind uint8
+
+const (
+	poolCircuit   circuitKind = iota // max-pool with optional ReLU; ReLU is win 1
+	signCircuit                      // the optimised ReLU's comparison bits
+	argmaxCircuit                    // batched argmax: win candidates, n samples
+)
+
+// circuitKey identifies one deterministic circuit shape.
+type circuitKey struct {
+	kind   circuitKind
+	bits   uint
+	win, n int
+	relu   bool
+}
 
 // circuitCache memoizes the deterministic per-chunk circuits; building a
-// 2048-neuron circuit is pure CPU and identical across chunks and runs.
-type circuitCache struct {
-	relu     map[cacheKey]*gc.Circuit
-	sign     map[cacheKey]*gc.Circuit
-	squares  map[cacheKey]*gc.Circuit
-	pools    map[poolKey]*gc.Circuit
-	argmaxes map[argmaxKey]*gc.Circuit
-}
+// 2048-word circuit is pure CPU and identical across chunks and runs.
+type circuitCache map[circuitKey]*gc.Circuit
 
-type cacheKey struct {
-	bits uint
-	n    int
-}
-
-func (cc *circuitCache) pool(k poolKey) *gc.Circuit {
-	if cc.pools == nil {
-		cc.pools = make(map[poolKey]*gc.Circuit)
-	}
-	if c, ok := cc.pools[k]; ok {
+func (cc circuitCache) get(k circuitKey) *gc.Circuit {
+	if c, ok := cc[k]; ok {
 		return c
 	}
-	c := gc.BatchMaxPoolCircuit(k.bits, k.win, k.n, k.relu)
-	cc.pools[k] = c
+	var c *gc.Circuit
+	switch k.kind {
+	case signCircuit:
+		c = gc.BatchSignCircuit(k.bits, k.n)
+	case argmaxCircuit:
+		c = gc.BatchArgmaxCircuit(k.bits, k.win, indexBits(k.win), k.n)
+	default:
+		c = gc.BatchMaxPoolCircuit(k.bits, k.win, k.n, k.relu)
+	}
+	cc[k] = c
 	return c
 }
 
-func (cc *circuitCache) argmax(k argmaxKey, build func() *gc.Circuit) *gc.Circuit {
-	if cc.argmaxes == nil {
-		cc.argmaxes = make(map[argmaxKey]*gc.Circuit)
-	}
-	if c, ok := cc.argmaxes[k]; ok {
-		return c
-	}
-	c := build()
-	cc.argmaxes[k] = c
-	return c
+// Junction is the public shape of one garbled non-linear layer
+// (Algorithm 2): output i is the maximum of the pre-activations indexed
+// by Windows[i], clamped at zero when ReLU is set, and reshared against
+// the client's pre-chosen z1[i]. A ReLU layer is the window-1 case:
+// Windows is nil and output i reads pre-activation i.
+type Junction struct {
+	Windows [][]int
+	ReLU    bool
+	// Variant selects the window-1 ReLU protocol: ReLUOptimized swaps in
+	// the sign circuit plus one plain reshare round per chunk.
+	Variant ReLUVariant
 }
 
-func (cc *circuitCache) reluCircuit(bits uint, n int) *gc.Circuit {
-	if cc.relu == nil {
-		cc.relu = make(map[cacheKey]*gc.Circuit)
+// sign reports whether j runs the optimised sign-bit protocol.
+func (j Junction) sign() bool { return j.Windows == nil && j.ReLU && j.Variant == ReLUOptimized }
+
+// span names the trace span of j's layer.
+func (j Junction) span() string {
+	if j.Windows != nil {
+		return "pool"
 	}
-	k := cacheKey{bits, n}
-	if c, ok := cc.relu[k]; ok {
-		return c
-	}
-	c := gc.BatchReLUCircuit(bits, n)
-	cc.relu[k] = c
-	return c
+	return "relu"
 }
 
-func (cc *circuitCache) signCircuit(bits uint, n int) *gc.Circuit {
-	if cc.sign == nil {
-		cc.sign = make(map[cacheKey]*gc.Circuit)
+// shape checks j over n pre-activations and returns its window width
+// and output count.
+func (j Junction) shape(n int) (win, outs int, err error) {
+	if j.Variant != ReLUGC && j.Variant != ReLUOptimized {
+		return 0, 0, fmt.Errorf("core: unknown ReLU variant %d", j.Variant)
 	}
-	k := cacheKey{bits, n}
-	if c, ok := cc.sign[k]; ok {
-		return c
+	if j.Windows == nil {
+		return 1, n, nil
 	}
-	c := gc.BatchSignCircuit(bits, n)
-	cc.sign[k] = c
-	return c
+	if len(j.Windows) == 0 || len(j.Windows[0]) == 0 {
+		return 0, 0, fmt.Errorf("core: empty pooling window set")
+	}
+	win = len(j.Windows[0])
+	for i, w := range j.Windows {
+		if len(w) != win {
+			return 0, 0, fmt.Errorf("core: window %d has %d elements, want %d", i, len(w), win)
+		}
+	}
+	return win, len(j.Windows), nil
+}
+
+// gather returns v's values for outputs [lo, hi) in window order.
+func (j Junction) gather(v ring.Vec, lo, hi int) ring.Vec {
+	if j.Windows == nil {
+		return v[lo:hi]
+	}
+	out := make(ring.Vec, 0, (hi-lo)*len(j.Windows[0]))
+	for _, w := range j.Windows[lo:hi] {
+		for _, idx := range w {
+			out = append(out, v[idx])
+		}
+	}
+	return out
+}
+
+// chunks splits n outputs of win input words each into [start, end)
+// spans of at most gcChunkWords input words (at least one output).
+func chunks(n, win int) [][2]int {
+	per := max(gcChunkWords/win, 1)
+	var spans [][2]int
+	for start := 0; start < n; start += per {
+		spans = append(spans, [2]int{start, min(start+per, n)})
+	}
+	return spans
+}
+
+// circuits returns j's per-chunk circuits over its output spans.
+func (cc circuitCache) circuits(j Junction, bits uint, win int, spans [][2]int) []*gc.Circuit {
+	circs := make([]*gc.Circuit, len(spans))
+	for k, sp := range spans {
+		key := circuitKey{kind: poolCircuit, bits: bits, win: win, n: sp[1] - sp[0], relu: j.ReLU}
+		if j.sign() {
+			key = circuitKey{kind: signCircuit, bits: bits, win: 1, n: sp[1] - sp[0]}
+		}
+		circs[k] = cc.get(key)
+	}
+	return circs
 }
 
 // ClientNonlinear runs the client (garbler) side of activation layers.
@@ -139,7 +199,7 @@ func NewClientNonlinear(conn transport.Conn, rg ring.Ring, session uint64, rng *
 	if err != nil {
 		return nil, err
 	}
-	return &ClientNonlinear{rg: rg, garb: g, conn: conn, maskRng: rng.Child("argmax-masks")}, nil
+	return &ClientNonlinear{rg: rg, garb: g, conn: conn, cache: circuitCache{}, maskRng: rng.Child("argmax-masks")}, nil
 }
 
 // NewServerNonlinear sets up the evaluator role.
@@ -148,7 +208,7 @@ func NewServerNonlinear(conn transport.Conn, rg ring.Ring, session uint64, rng *
 	if err != nil {
 		return nil, err
 	}
-	return &ServerNonlinear{rg: rg, eval: e, conn: conn}, nil
+	return &ServerNonlinear{rg: rg, eval: e, conn: conn, cache: circuitCache{}}, nil
 }
 
 // SetWorkers bounds the kernel parallelism of the GC session underneath
@@ -158,50 +218,33 @@ func (c *ClientNonlinear) SetWorkers(n int) { c.garb.SetWorkers(n) }
 // SetWorkers mirrors ClientNonlinear.SetWorkers.
 func (s *ServerNonlinear) SetWorkers(n int) { s.eval.SetWorkers(n) }
 
-// reluSpans splits n neurons into reluChunk-sized [start, end) spans.
-func reluSpans(n int) [][2]int {
-	var spans [][2]int
-	for start := 0; start < n; start += reluChunk {
-		end := start + reluChunk
-		if end > n {
-			end = n
-		}
-		spans = append(spans, [2]int{start, end})
-	}
-	return spans
-}
-
-// ReLUClient runs the client side over a share vector: y1 are the
-// client's shares of the pre-activations, z1 the client's (pre-chosen)
-// shares of the outputs. Long vectors are split into chunks of reluChunk
-// neurons, one garbled circuit per chunk; the chunks garble as one batch
-// so the CPU-heavy half fans out across the worker pool while the wire
-// flights keep a fixed order.
-func (c *ClientNonlinear) ReLUClient(variant ReLUVariant, y1, z1 ring.Vec) error {
-	if len(y1) != len(z1) {
-		return fmt.Errorf("core: relu share length mismatch %d vs %d", len(y1), len(z1))
-	}
-	if variant != ReLUGC && variant != ReLUOptimized {
-		return fmt.Errorf("core: unknown ReLU variant %d", variant)
-	}
-	bits := c.rg.Bits()
-	spans := reluSpans(len(y1))
-	circs := make([]*gc.Circuit, len(spans))
-	ins := make([][]byte, len(spans))
-	for k, sp := range spans {
-		n := sp[1] - sp[0]
-		if variant == ReLUGC {
-			circs[k] = c.cache.reluCircuit(bits, n)
-			ins[k] = append(gc.VecToBits(y1[sp[0]:sp[1]], bits), gc.VecToBits(z1[sp[0]:sp[1]], bits)...)
-		} else {
-			circs[k] = c.cache.signCircuit(bits, n)
-			ins[k] = gc.VecToBits(y1[sp[0]:sp[1]], bits)
-		}
-	}
-	if err := c.garb.RunBatch(circs, ins); err != nil {
+// Reshare runs the client (garbler) side of one garbled non-linear
+// layer: y1 is the client's share of the pre-activations, z1 its
+// pre-chosen share of the outputs (one per window). The outputs split
+// into chunks of at most gcChunkWords input words, one circuit per
+// chunk; the chunks garble as one batch so the CPU-heavy half fans out
+// across the worker pool while the wire flights keep a fixed order.
+func (c *ClientNonlinear) Reshare(j Junction, y1, z1 ring.Vec) error {
+	win, n, err := j.shape(len(y1))
+	if err != nil {
 		return err
 	}
-	if variant == ReLUGC {
+	if len(z1) != n {
+		return fmt.Errorf("core: %d z1 shares for %d outputs", len(z1), n)
+	}
+	bits := c.rg.Bits()
+	spans := chunks(n, win)
+	ins := make([][]byte, len(spans))
+	for k, sp := range spans {
+		ins[k] = gc.VecToBits(j.gather(y1, sp[0], sp[1]), bits)
+		if !j.sign() {
+			ins[k] = append(ins[k], gc.VecToBits(z1[sp[0]:sp[1]], bits)...)
+		}
+	}
+	if err := c.garb.RunBatch(c.cache.circuits(j, bits, win, spans), ins); err != nil {
+		return fmt.Errorf("core: %s garble: %w", j.span(), err)
+	}
+	if !j.sign() {
 		return nil
 	}
 	// Optimized variant: receive the sign bits the server decoded, then
@@ -230,40 +273,33 @@ func (c *ClientNonlinear) ReLUClient(variant ReLUVariant, y1, z1 ring.Vec) error
 	return nil
 }
 
-// ReLUServer runs the server side over its share vector y0, returning its
-// shares z0 of the activations. Chunking mirrors ReLUClient.
-func (s *ServerNonlinear) ReLUServer(variant ReLUVariant, y0 ring.Vec) (ring.Vec, error) {
-	if variant != ReLUGC && variant != ReLUOptimized {
-		return nil, fmt.Errorf("core: unknown ReLU variant %d", variant)
-	}
-	bits := s.rg.Bits()
-	spans := reluSpans(len(y0))
-	circs := make([]*gc.Circuit, len(spans))
-	ins := make([][]byte, len(spans))
-	for k, sp := range spans {
-		n := sp[1] - sp[0]
-		if variant == ReLUGC {
-			circs[k] = s.cache.reluCircuit(bits, n)
-		} else {
-			circs[k] = s.cache.signCircuit(bits, n)
-		}
-		ins[k] = gc.VecToBits(y0[sp[0]:sp[1]], bits)
-	}
-	outs, err := s.eval.RunBatch(circs, ins)
+// Reshare runs the server (evaluator) side over its share y0 of the
+// pre-activations, returning its shares z0 of the outputs. Chunking
+// mirrors the client's Reshare.
+func (s *ServerNonlinear) Reshare(j Junction, y0 ring.Vec) (ring.Vec, error) {
+	win, n, err := j.shape(len(y0))
 	if err != nil {
 		return nil, err
 	}
-	z0 := make(ring.Vec, 0, len(y0))
-	if variant == ReLUGC {
-		for k, sp := range spans {
-			z0 = append(z0, gc.BitsToVec(outs[k], bits, sp[1]-sp[0])...)
-		}
-		return z0, nil
+	bits := s.rg.Bits()
+	spans := chunks(n, win)
+	ins := make([][]byte, len(spans))
+	for k, sp := range spans {
+		ins[k] = gc.VecToBits(j.gather(y0, sp[0], sp[1]), bits)
 	}
-	// Optimized variant: reveal signs and reshare per chunk, mirroring
-	// the client's round order.
+	outs, err := s.eval.RunBatch(s.cache.circuits(j, bits, win, spans), ins)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s evaluate: %w", j.span(), err)
+	}
+	z0 := make(ring.Vec, 0, n)
 	for k, sp := range spans {
 		n := sp[1] - sp[0]
+		if !j.sign() {
+			z0 = append(z0, gc.BitsToVec(outs[k], bits, n)...)
+			continue
+		}
+		// Optimized variant: reveal signs and reshare per chunk,
+		// mirroring the client's round order.
 		signs := outs[k]
 		packed := make([]byte, (n+7)/8)
 		for i, b := range signs {

@@ -52,9 +52,9 @@ func runReLU(t *testing.T, rg ring.Ring, variant ReLUVariant, ys []int64) transp
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cerr = cn.ReLUClient(variant, y1, z1)
+		cerr = cn.Reshare(Junction{ReLU: true, Variant: variant}, y1, z1)
 	}()
-	z0, serr := sn.ReLUServer(variant, y0)
+	z0, serr := sn.Reshare(Junction{ReLU: true, Variant: variant}, y0)
 	wg.Wait()
 	if cerr != nil || serr != nil {
 		t.Fatalf("variant %v: client=%v server=%v", variant, cerr, serr)
@@ -105,7 +105,7 @@ func TestOptimizedReLUCheaper(t *testing.T) {
 // Vectors longer than one chunk must be processed correctly across the
 // chunk boundary.
 func TestReLUChunkBoundary(t *testing.T) {
-	n := reluChunk + 37
+	n := gcChunkWords + 37
 	ys := make([]int64, n)
 	for i := range ys {
 		ys[i] = int64(i - n/2)
@@ -117,7 +117,7 @@ func TestReLUChunkBoundary(t *testing.T) {
 func TestReLUShareLengthMismatch(t *testing.T) {
 	cn, _, _, done := nonlinearPair(t, ring.New(16))
 	defer done()
-	if err := cn.ReLUClient(ReLUGC, make(ring.Vec, 2), make(ring.Vec, 3)); err == nil {
+	if err := cn.Reshare(Junction{ReLU: true}, make(ring.Vec, 2), make(ring.Vec, 3)); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }

@@ -13,22 +13,9 @@ package gc
 //
 // Garbler inputs: y1 (n*bits), then z1 (n*bits). Evaluator inputs: y0
 // (n*bits). Outputs: z0 (n*bits), revealed to the evaluator.
-// Cost: about 3*bits AND gates per neuron.
-func BatchReLUCircuit(bits uint, n int) *Circuit {
-	b := NewBuilder()
-	l := int(bits)
-	y1 := b.GarblerInput(n * l)
-	z1 := b.GarblerInput(n * l)
-	y0 := b.EvaluatorInput(n * l)
-	for k := 0; k < n; k++ {
-		y := b.AdderMod(y0[k*l:(k+1)*l], y1[k*l:(k+1)*l])
-		pos := b.NOT(y[l-1]) // 1 when y >= 0 in two's complement
-		relu := b.AndBit(pos, y)
-		z0 := b.SubMod(relu, z1[k*l:(k+1)*l])
-		b.Output(z0...)
-	}
-	return b.Finish()
-}
+// Cost: about 3*bits AND gates per neuron. It is the window-1 case of
+// BatchMaxPoolCircuit with the ReLU fused in.
+func BatchReLUCircuit(bits uint, n int) *Circuit { return BatchMaxPoolCircuit(bits, 1, n, true) }
 
 // BatchSignCircuit builds the comparison-only circuit used by the
 // optimised ReLU (paper section 4.2): it reveals, per neuron, the single
@@ -46,26 +33,6 @@ func BatchSignCircuit(bits uint, n int) *Circuit {
 	for k := 0; k < n; k++ {
 		y := b.AdderMod(y0[k*l:(k+1)*l], y1[k*l:(k+1)*l])
 		b.Output(b.NOT(y[l-1]))
-	}
-	return b.Finish()
-}
-
-// BatchFuncCircuit builds the generic Algorithm-2 circuit for an arbitrary
-// bitwise-defined activation given as a sub-circuit factory: f receives
-// the builder and the reconstructed y bits and returns the activated bits.
-// It is exported so downstream users can plug activations other than ReLU
-// into the same reshare pattern.
-func BatchFuncCircuit(bits uint, n int, f func(b *Builder, y []int) []int) *Circuit {
-	b := NewBuilder()
-	l := int(bits)
-	y1 := b.GarblerInput(n * l)
-	z1 := b.GarblerInput(n * l)
-	y0 := b.EvaluatorInput(n * l)
-	for k := 0; k < n; k++ {
-		y := b.AdderMod(y0[k*l:(k+1)*l], y1[k*l:(k+1)*l])
-		act := f(b, y)
-		z0 := b.SubMod(act, z1[k*l:(k+1)*l])
-		b.Output(z0...)
 	}
 	return b.Finish()
 }
@@ -107,10 +74,17 @@ func BatchMaxPoolCircuit(bits uint, win, n int, withReLU bool) *Circuit {
 	return b.Finish()
 }
 
-// BatchArgmaxCircuit is ArgmaxCircuit over `batch` independent samples
-// in one circuit (one protocol round for a whole prediction batch).
+// BatchArgmaxCircuit builds a secure argmax over `batch` independent
+// samples of n words each, in one circuit (one protocol round for a
+// whole prediction batch). Per sample it reconstructs every
+// y = y0 + y1, runs a tournament carrying the running index (ties keep
+// the first index), and outputs the winning index XOR a garbler-chosen
+// mask, so the evaluator learns nothing: it forwards the masked index to
+// the garbler, who unmasks. idxBits index bits must satisfy
+// 2^idxBits >= n.
+//
 // Garbler inputs: y1 (batch*n words), masks (batch*idxBits). Evaluator:
-// y0 (batch*n words). Outputs: batch masked indices.
+// y0 (batch*n words). Outputs: batch masked indices of idxBits bits.
 func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
 	if n < 1 || uint64(n) > 1<<idxBits {
 		panic("gc: argmax index width too small")
@@ -148,53 +122,6 @@ func BatchArgmaxCircuit(bits uint, n int, idxBits uint, batch int) *Circuit {
 		for i := 0; i < ib; i++ {
 			b.Output(b.XOR(bestIdx[i], masks[s*ib+i]))
 		}
-	}
-	return b.Finish()
-}
-
-// ArgmaxCircuit builds a secure argmax over n words: it reconstructs
-// every y = y0 + y1, runs a tournament carrying the running index, and
-// outputs the winning index XOR a garbler-chosen mask (so the evaluator
-// learns nothing: it forwards the masked index to the garbler, who
-// unmasks). idxBits index bits must satisfy 2^idxBits >= n.
-//
-// Garbler inputs: y1 (n words), mask (idxBits). Evaluator: y0 (n words).
-// Outputs: masked index (idxBits bits).
-func ArgmaxCircuit(bits uint, n int, idxBits uint) *Circuit {
-	if n < 1 || uint64(n) > 1<<idxBits {
-		panic("gc: argmax index width too small")
-	}
-	b := NewBuilder()
-	l := int(bits)
-	ib := int(idxBits)
-	y1 := b.GarblerInput(n * l)
-	mask := b.GarblerInput(ib)
-	y0 := b.EvaluatorInput(n * l)
-	best := b.AdderMod(y0[0:l], y1[0:l])
-	// Index 0 as constant wires.
-	zero := b.XOR(best[0], best[0]) // constant 0 (free)
-	bestIdx := make([]int, ib)
-	for i := range bestIdx {
-		bestIdx[i] = zero
-	}
-	for e := 1; e < n; e++ {
-		y := b.AdderMod(y0[e*l:(e+1)*l], y1[e*l:(e+1)*l])
-		gt := b.SignedLess(best, y) // candidate wins
-		best = b.MuxVec(gt, y, best)
-		// Candidate index e as constants.
-		candIdx := make([]int, ib)
-		one := b.constOne(zero)
-		for i := range candIdx {
-			if (e>>uint(i))&1 == 1 {
-				candIdx[i] = one
-			} else {
-				candIdx[i] = zero
-			}
-		}
-		bestIdx = b.MuxVec(gt, candIdx, bestIdx)
-	}
-	for i := 0; i < ib; i++ {
-		b.Output(b.XOR(bestIdx[i], mask[i]))
 	}
 	return b.Finish()
 }

@@ -189,19 +189,6 @@ func TestBatchSignCircuit(t *testing.T) {
 	}
 }
 
-func TestBatchFuncCircuitIdentity(t *testing.T) {
-	const bits = 6
-	circ := BatchFuncCircuit(bits, 1, func(b *Builder, y []int) []int { return y })
-	y1, z1 := uint64(17), uint64(40)
-	y := uint64(33)
-	y0 := (y - y1) & 63
-	gBits := append(UintToBits(y1, bits), UintToBits(z1, bits)...)
-	out := BitsToUint(garbleEval(t, circ, gBits, UintToBits(y0, bits), 56))
-	if got := (out + z1) & 63; got != y {
-		t.Errorf("identity activation: got %d want %d", got, y)
-	}
-}
-
 func TestNumANDCounts(t *testing.T) {
 	const bits = 32
 	relu := BatchReLUCircuit(bits, 1)

@@ -108,7 +108,7 @@ func TestArgmaxCircuit(t *testing.T) {
 	for ci, ys := range cases {
 		n := len(ys)
 		idxBits := uint(3)
-		circ := ArgmaxCircuit(bits, n, idxBits)
+		circ := BatchArgmaxCircuit(bits, n, idxBits, 1)
 		mask := uint64(1<<bits - 1)
 		y1 := make([]uint64, n)
 		y0 := make([]uint64, n)
@@ -171,23 +171,6 @@ func TestPopCountCircuit(t *testing.T) {
 	}
 }
 
-func TestMulModExhaustive4(t *testing.T) {
-	const bits = 4
-	b := NewBuilder()
-	a := b.GarblerInput(bits)
-	c := b.EvaluatorInput(bits)
-	b.Output(b.MulMod(a, c)...)
-	circ := b.Finish()
-	for x := uint64(0); x < 16; x++ {
-		for y := uint64(0); y < 16; y++ {
-			got := BitsToUint(garbleEval(t, circ, UintToBits(x, bits), UintToBits(y, bits), 90))
-			if got != (x*y)&15 {
-				t.Fatalf("%d*%d = %d, want %d", x, y, got, (x*y)&15)
-			}
-		}
-	}
-}
-
 func TestGreaterConst(t *testing.T) {
 	const bits = 6
 	b := NewBuilder()
@@ -213,5 +196,5 @@ func TestArgmaxCircuitPanicsOnNarrowIndex(t *testing.T) {
 			t.Error("no panic for 2^idxBits < n")
 		}
 	}()
-	ArgmaxCircuit(8, 5, 2)
+	BatchArgmaxCircuit(8, 5, 2, 1)
 }

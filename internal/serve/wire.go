@@ -264,18 +264,6 @@ func DialOffline(ctx context.Context, addr, model, peer string, p *abnn2.Plan) (
 	return dialHello(ctx, addr, h)
 }
 
-// DialModelPlan is DialModel proposing a per-layer protocol plan in the
-// hello. A bad-plan rejection is permanent and fails immediately; on
-// success the same plan must be set as abnn2.Config.Plan for the Dial
-// on the returned connection.
-func DialModelPlan(ctx context.Context, addr, model string, p *abnn2.Plan) (abnn2.Conn, HandshakeInfo, error) {
-	h := hello{V: helloVersion, Model: model}
-	if p != nil {
-		h.Plan = p.Marshal()
-	}
-	return dialHello(ctx, addr, h)
-}
-
 func dialHello(ctx context.Context, addr string, h hello) (abnn2.Conn, HandshakeInfo, error) {
 	for {
 		conn, err := abnn2.DialTCP(ctx, addr)

@@ -237,7 +237,9 @@ func TestGoldenMatmulMultiBatch(t *testing.T) {
 	goldenMatmul(t, "matmul-multibatch", 2, core.MultiBatch)
 }
 
-func goldenReLU(t *testing.T, name string, variant core.ReLUVariant) {
+// nonlinearPair sets up a seeded, recorded garbled-circuit session at
+// ring width 16 and returns both roles with their recorded ends.
+func nonlinearPair(t *testing.T) (*core.ClientNonlinear, *core.ServerNonlinear, *RecordingConn, *RecordingConn) {
 	t.Helper()
 	rg := ring.New(16)
 	cc, sc := pairConns()
@@ -254,14 +256,21 @@ func goldenReLU(t *testing.T, name string, variant core.ReLUVariant) {
 	srv, serr := core.NewServerNonlinear(sc, rg, 7, prg.New(prg.SeedFromInt(52)))
 	wg.Wait()
 	if cerr != nil || serr != nil {
-		t.Fatalf("relu setup: %v %v", cerr, serr)
+		t.Fatalf("nonlinear setup: %v %v", cerr, serr)
 	}
+	return cli, srv, cc, sc
+}
+
+func goldenReLU(t *testing.T, name string, variant core.ReLUVariant) {
+	t.Helper()
+	cli, srv, cc, sc := nonlinearPair(t)
+	rg := ring.New(16)
 	g := prg.New(prg.SeedFromInt(53))
 	y1, z1, y0 := g.Vec(rg, 5), g.Vec(rg, 5), g.Vec(rg, 5)
 	runPair(t,
-		func() error { return cli.ReLUClient(variant, y1, z1) },
+		func() error { return cli.Reshare(core.Junction{ReLU: true, Variant: variant}, y1, z1) },
 		func() error {
-			_, err := srv.ReLUServer(variant, y0)
+			_, err := srv.Reshare(core.Junction{ReLU: true, Variant: variant}, y0)
 			return err
 		})
 	compare(t, name, "core relu "+name, cc, sc)
@@ -269,6 +278,48 @@ func goldenReLU(t *testing.T, name string, variant core.ReLUVariant) {
 
 func TestGoldenReLUGC(t *testing.T)        { goldenReLU(t, "relu-gc", core.ReLUGC) }
 func TestGoldenReLUOptimized(t *testing.T) { goldenReLU(t, "relu-optimized", core.ReLUOptimized) }
+
+// goldenPool pins max pooling over nWin scattered 2x2 (four-value)
+// windows: window i gathers y[i], y[i+nWin], y[i+2nWin], y[i+3nWin], the
+// channel-major layout real conv layers produce.
+func goldenPool(t *testing.T, name string, nWin int, withReLU bool) {
+	t.Helper()
+	cli, srv, cc, sc := nonlinearPair(t)
+	rg := ring.New(16)
+	windows := make([][]int, nWin)
+	for i := range windows {
+		windows[i] = []int{i, i + nWin, i + 2*nWin, i + 3*nWin}
+	}
+	g := prg.New(prg.SeedFromInt(54))
+	y1, z1, y0 := g.Vec(rg, 4*nWin), g.Vec(rg, nWin), g.Vec(rg, 4*nWin)
+	runPair(t,
+		func() error { return cli.Reshare(core.Junction{Windows: windows, ReLU: withReLU}, y1, z1) },
+		func() error {
+			_, err := srv.Reshare(core.Junction{Windows: windows, ReLU: withReLU}, y0)
+			return err
+		})
+	compare(t, name, "core maxpool "+name, cc, sc)
+}
+
+func TestGoldenPoolReLU(t *testing.T) { goldenPool(t, "pool-relu", 6, true) }
+
+// TestGoldenPoolChunked crosses the 512-window circuit boundary.
+func TestGoldenPoolChunked(t *testing.T) { goldenPool(t, "pool-chunked", 515, false) }
+
+func TestGoldenArgmax(t *testing.T) {
+	cli, srv, cc, sc := nonlinearPair(t)
+	rg := ring.New(16)
+	const n, batch = 5, 3
+	g := prg.New(prg.SeedFromInt(55))
+	y1, y0 := g.Vec(rg, n*batch), g.Vec(rg, n*batch)
+	runPair(t,
+		func() error {
+			_, err := cli.ArgmaxClient(y1, n, batch)
+			return err
+		},
+		func() error { return srv.ArgmaxServer(y0, n, batch) })
+	compare(t, "argmax", "core argmax n=5 batch=3", cc, sc)
+}
 
 // sessionTranscripts runs a full facade session (setup + one batch) for
 // a generated case with both parties seeded, at the given worker count

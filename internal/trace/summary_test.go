@@ -35,7 +35,7 @@ func mergedTwoPartyDump() []Span {
 		// dry and fell back to the inline offline phase.
 		{ID: 10, Party: "server", Session: 5, Name: "batch", Layer: -1, Batch: 2,
 			Start: srv.Add(130 * ms), Dur: 82 * ms, BytesSent: 1024, BytesRecvd: 4096, Messages: 6, Flights: 6},
-		{ID: 11, Parent: 10, Party: "server", Session: 5, Name: "bank", Layer: -1,
+		{ID: 11, Parent: 10, Party: "server", Session: 5, Name: "bank-peer", Layer: -1,
 			Start: srv.Add(131 * ms), Dur: 3 * ms},
 		{ID: 12, Party: "server", Session: 5, Name: "batch", Layer: -1, Batch: 2,
 			Start: srv.Add(220 * ms), Dur: 95 * ms, BytesSent: 1024, BytesRecvd: 4096, Messages: 8, Flights: 8},
@@ -70,7 +70,7 @@ func TestSummarizeMergedTwoPartyDump(t *testing.T) {
 
 	// The degraded session contributes both a bank row (first batch) and
 	// an inline offline row (second batch) on the server.
-	if bank, ok := find("server", "bank", -1); !ok || bank.Count != 1 {
+	if bank, ok := find("server", "bank-peer", -1); !ok || bank.Count != 1 {
 		t.Errorf("server bank row = %+v (ok=%v), want count 1", bank, ok)
 	}
 	if off, ok := find("server", "offline", -1); !ok || off.Count != 1 {
@@ -117,7 +117,7 @@ func TestSummarizeLeavesPerLayer(t *testing.T) {
 
 func TestFormatTableMergedDump(t *testing.T) {
 	out := FormatTable(Summarize(mergedTwoPartyDump()))
-	for _, want := range []string{"party", "client", "server", "dial", "bank", "offline", "total"} {
+	for _, want := range []string{"party", "client", "server", "dial", "bank-peer", "offline", "total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table lacks %q:\n%s", want, out)
 		}

@@ -276,7 +276,7 @@ func BuildTimeline(session uint64, spans []Span, flights []Flight) (*Timeline, e
 // classOfSpan maps a span name to its attribution class.
 func classOfSpan(name string) string {
 	switch name {
-	case "bank", "bank-peer", "bank-refill":
+	case "bank-peer":
 		return ClassBankWait
 	case "dial", "admission":
 		return ClassQueue

@@ -22,10 +22,10 @@ type Stats = transport.Stats
 // Meter collects Stats for a connection; see MeteredPipe.
 type Meter = transport.Meter
 
-// TraceSpan is one completed protocol phase: its name ("setup",
-// "offline", "triplets", "bank", "bank-refill", "batch", "online",
-// "input", "matmul", "relu", "pool", "argmax", "output", "idle"),
-// nesting (root spans partition a
+// TraceSpan is one completed protocol phase: its name ("dial",
+// "admission", "setup", "offline", "offline-replenish", "triplets",
+// "bank-peer", "batch", "online", "input", "matmul", "relu", "pool",
+// "argmax", "output", "idle"), nesting (root spans partition a
 // session's traffic), layer/batch attribution, wall time, and the
 // bytes, messages, and flights it moved.
 type TraceSpan = trace.Span
