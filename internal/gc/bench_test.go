@@ -46,12 +46,11 @@ func BenchmarkBuildReLUCircuit(b *testing.B) {
 	}
 }
 
-// benchRunBatch measures a full garble+evaluate RunBatch round trip over
-// an in-process pipe at a fixed worker count; the Workers1 vs Workers8
-// ratio is the batch-garbling speedup quoted in EXPERIMENTS.md.
-func benchRunBatch(b *testing.B, workers int) {
+// benchParties connects a garbler and an evaluator over an in-process
+// pipe, both pinned to the given worker count.
+func benchParties(b *testing.B, workers int) (*Garbler, *Evaluator, func()) {
+	b.Helper()
 	ca, cb := transport.Pipe()
-	defer ca.Close()
 	var (
 		g    *Garbler
 		gerr error
@@ -69,6 +68,15 @@ func benchRunBatch(b *testing.B, workers int) {
 	}
 	g.SetWorkers(workers)
 	e.SetWorkers(workers)
+	return g, e, func() { ca.Close() }
+}
+
+// benchRunBatch measures a full garble+evaluate RunBatch round trip over
+// an in-process pipe at a fixed worker count; the Workers1 vs Workers8
+// ratio is the batch-garbling speedup quoted in EXPERIMENTS.md.
+func benchRunBatch(b *testing.B, workers int) {
+	g, e, done := benchParties(b, workers)
+	defer done()
 	const batch = 8
 	circ := BatchReLUCircuit(32, 256)
 	circs := make([]*Circuit, batch)
@@ -99,3 +107,34 @@ func benchRunBatch(b *testing.B, workers int) {
 
 func BenchmarkRunBatchReLUWorkers1(b *testing.B) { benchRunBatch(b, 1) }
 func BenchmarkRunBatchReLUWorkers8(b *testing.B) { benchRunBatch(b, 8) }
+
+// BenchmarkLabelOT2048x32 isolates the label OT of one production GC
+// chunk (2048 words of 32 bits: 65536 evaluator inputs). The circuit has
+// no gates, so a Run pair is the OT extension round, the label pads on
+// both sides and the one material flight.
+func BenchmarkLabelOT2048x32(b *testing.B) {
+	g, e, done := benchParties(b, 0)
+	defer done()
+	const inputs = 2048 * 32
+	circ := &Circuit{NumEvaluator: inputs, NumWires: inputs}
+	ebits := make([]byte, inputs)
+	for i := range ebits {
+		ebits[i] = byte(i) & 1
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var inner sync.WaitGroup
+		inner.Add(1)
+		go func() {
+			defer inner.Done()
+			if err := g.Run(circ, nil); err != nil {
+				b.Error(err)
+			}
+		}()
+		if _, err := e.Run(circ, ebits); err != nil {
+			b.Fatal(err)
+		}
+		inner.Wait()
+	}
+	b.ReportMetric(inputs, "OTs")
+}

@@ -38,11 +38,19 @@ type Circuit struct {
 	NumWires     int
 	Gates        []Gate
 	Outputs      []int
+
+	// numAND caches the AND-gate count of a circuit from Builder.Finish;
+	// a circuit built as a struct literal leaves counted false.
+	numAND  int
+	counted bool
 }
 
 // NumAND returns the number of AND gates, the communication-relevant size
 // of the circuit (XOR and INV are free).
 func (c *Circuit) NumAND() int {
+	if c.counted {
+		return c.numAND
+	}
 	n := 0
 	for _, g := range c.Gates {
 		if g.Kind == GateAND {
@@ -145,6 +153,8 @@ func (b *Builder) Finish() *Circuit {
 		}
 	}
 	c := b.c
+	c.numAND = c.NumAND()
+	c.counted = true
 	return &c
 }
 

@@ -81,10 +81,19 @@ func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
 	r[0] |= 1 // point-and-permute: lsb of R must be 1
 
 	zero := make([]Label, c.NumWires) // zero label of every wire
-	for i := 0; i < c.NumGarbler+c.NumEvaluator; i++ {
-		copy(zero[i][:], rng.Bytes(LabelSize))
+	// Input labels are drawn up to 256 at a time through one bounded
+	// buffer: the AES-CTR stream is the same as one 16-byte draw per
+	// wire, without an allocation per wire or an input-sized copy.
+	nIn := c.NumGarbler + c.NumEvaluator
+	buf := make([]byte, min(nIn, 256)*LabelSize)
+	for lo := 0; lo < nIn; lo += 256 {
+		k := min(nIn-lo, 256)
+		rng.Fill(buf[:k*LabelSize])
+		for i := 0; i < k; i++ {
+			copy(zero[lo+i][:], buf[i*LabelSize:])
+		}
 	}
-	tables := make([]byte, 0, c.TableBytes())
+	tables := make([]byte, c.TableBytes())
 	h := new(hasher)
 	var gateIndex uint64
 	for _, g := range c.Gates {
@@ -97,30 +106,32 @@ func Garble(c *Circuit, garblerBits []byte, rng *prg.PRG) (*Garbled, error) {
 		case GateAND:
 			a0 := zero[g.A]
 			b0 := zero[g.B]
-			a1 := xorLabel(a0, r)
-			b1 := xorLabel(b0, r)
 			pa := a0.lsb()
 			pb := b0.lsb()
 			j := 2 * gateIndex
 			jp := 2*gateIndex + 1
+			// Four hashes per AND: H(a0), H(a1), H(b0), H(b1).
+			ha0 := h.hash(a0, j)
+			hb0 := h.hash(b0, jp)
 			// Generator half-gate.
-			tg := xorLabel(h.hash(a0, j), h.hash(a1, j))
+			tg := xorLabel(ha0, h.hash(xorLabel(a0, r), j))
 			if pb == 1 {
 				tg = xorLabel(tg, r)
 			}
-			wg := h.hash(a0, j)
+			wg := ha0
 			if pa == 1 {
 				wg = xorLabel(wg, tg)
 			}
 			// Evaluator half-gate.
-			te := xorLabel(xorLabel(h.hash(b0, jp), h.hash(b1, jp)), a0)
-			we := h.hash(b0, jp)
+			te := xorLabel(xorLabel(hb0, h.hash(xorLabel(b0, r), jp)), a0)
+			we := hb0
 			if pb == 1 {
 				we = xorLabel(we, xorLabel(te, a0))
 			}
 			zero[g.Out] = xorLabel(wg, we)
-			tables = append(tables, tg[:]...)
-			tables = append(tables, te[:]...)
+			off := gateIndex * 2 * LabelSize
+			copy(tables[off:], tg[:])
+			copy(tables[off+LabelSize:], te[:])
 			gateIndex++
 		default:
 			return nil, fmt.Errorf("gc: unknown gate kind %d", g.Kind)

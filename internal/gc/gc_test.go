@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"reflect"
 	"testing"
 
 	"abnn2/internal/prg"
@@ -203,6 +204,15 @@ func TestNumANDCounts(t *testing.T) {
 	// Alg-2 ReLU: adder (bits-1) + and-bit (bits) + sub (bits-1).
 	if want := 3*bits - 2; relu.NumAND() != want {
 		t.Errorf("relu ANDs = %d, want %d", relu.NumAND(), want)
+	}
+	// A circuit built as a struct literal has no count cached by Finish.
+	lit := &Circuit{NumGarbler: relu.NumGarbler, NumEvaluator: relu.NumEvaluator,
+		NumWires: relu.NumWires, Gates: relu.Gates, Outputs: relu.Outputs}
+	if lit.NumAND() != relu.NumAND() || lit.TableBytes() != relu.TableBytes() {
+		t.Errorf("struct-literal circuit counts %d ANDs, built one %d", lit.NumAND(), relu.NumAND())
+	}
+	if !reflect.DeepEqual(BatchReLUCircuit(bits, 3), BatchMaxPoolCircuit(bits, 1, 3, true)) {
+		t.Error("ReLU circuit differs from the window-1 max-pool circuit")
 	}
 }
 

@@ -124,22 +124,26 @@ func (g *Garbler) sendGarbled(c *Circuit, garbled *Garbled) error {
 			return fmt.Errorf("gc: label OT: %w", err)
 		}
 	}
-	msg := make([]byte, 0, len(garbled.Tables)+
+	msg := make([]byte, len(garbled.Tables)+
 		c.NumGarbler*LabelSize+(len(c.Outputs)+7)/8+c.NumEvaluator*2*LabelSize)
-	msg = append(msg, garbled.Tables...)
+	off := copy(msg, garbled.Tables)
 	for _, l := range garbled.GarblerLabels {
-		msg = append(msg, l[:]...)
+		off += copy(msg[off:], l[:])
 	}
-	msg = append(msg, packBits(garbled.Decode)...)
-	for i := 0; i < c.NumEvaluator; i++ {
-		var ct0, ct1 Label
-		pad0 := blk.Pad(i, 0, LabelSize)
-		pad1 := blk.Pad(i, 1, LabelSize)
-		prg.XORBytes(ct0[:], garbled.EvalPairs[i][0][:], pad0)
-		prg.XORBytes(ct1[:], garbled.EvalPairs[i][1][:], pad1)
-		msg = append(msg, ct0[:]...)
-		msg = append(msg, ct1[:]...)
-	}
+	off += copy(msg[off:], packBits(garbled.Decode))
+	// Label-OT ciphertexts: OT i's pair sits at a fixed offset, so the
+	// pads fan out across the worker pool without changing a byte.
+	cts := msg[off:]
+	par.Chunks(g.workers, c.NumEvaluator, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ct0 := cts[2*i*LabelSize : (2*i+1)*LabelSize]
+			ct1 := cts[(2*i+1)*LabelSize : (2*i+2)*LabelSize]
+			copy(ct0, garbled.EvalPairs[i][0][:])
+			copy(ct1, garbled.EvalPairs[i][1][:])
+			blk.PadXOR(ct0, i, 0)
+			blk.PadXOR(ct1, i, 1)
+		}
+	})
 	if err := g.conn.Send(msg); err != nil {
 		return fmt.Errorf("gc: send garbled material: %w", err)
 	}
@@ -236,13 +240,13 @@ func (e *Evaluator) recvGarbled(c *Circuit, evalBits []byte) (received, error) {
 	decode := unpackBits(msg[off:off+decodeBytes], len(c.Outputs))
 	off += decodeBytes
 	evalLabels := make([]Label, c.NumEvaluator)
-	for i := range evalLabels {
-		b := evalBits[i] & 1
-		ct := msg[off+int(b)*LabelSize : off+int(b)*LabelSize+LabelSize]
-		pad := blk.Pad(i, LabelSize)
-		prg.XORBytes(evalLabels[i][:], ct, pad)
-		off += 2 * LabelSize
-	}
+	par.Chunks(e.workers, c.NumEvaluator, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ct := off + (2*i+int(evalBits[i]&1))*LabelSize
+			copy(evalLabels[i][:], msg[ct:ct+LabelSize])
+			blk.PadXOR(evalLabels[i][:], i)
+		}
+	})
 	return received{tables: tables, garblerLabels: garblerLabels, evalLabels: evalLabels, decode: decode}, nil
 }
 

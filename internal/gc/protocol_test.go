@@ -1,10 +1,12 @@
 package gc
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"abnn2/internal/prg"
+	"abnn2/internal/ring"
 	"abnn2/internal/transport"
 )
 
@@ -155,5 +157,82 @@ func TestProtocolCommunicationMatchesFormula(t *testing.T) {
 	wantEG := int64(((circ.NumEvaluator + 7) &^ 7) * 128 / 8)
 	if s.BytesBA != wantEG {
 		t.Errorf("evaluator sent %d bytes, want %d", s.BytesBA, wantEG)
+	}
+}
+
+// sendLog records the payload of every flight sent through it.
+type sendLog struct {
+	transport.Conn
+	flights [][]byte
+}
+
+func (s *sendLog) Send(msg []byte) error {
+	s.flights = append(s.flights, append([]byte(nil), msg...))
+	return s.Conn.Send(msg)
+}
+
+// TestRunBatchWorkerInvariant runs the same seeded batch at 1 and 8
+// workers. The garbler's flights (tables, labels, decode bits and the
+// label-OT ciphertexts whose pads fan out across the pool) and the
+// evaluator's outputs must be identical. Each circuit has 32 evaluator
+// inputs, so 8 workers each derive 4 label pads.
+func TestRunBatchWorkerInvariant(t *testing.T) {
+	const bits, n = 8, 4
+	circ := BatchReLUCircuit(bits, n)
+	circs := []*Circuit{circ, circ}
+	rng := prg.New(prg.SeedFromInt(5))
+	gbits := make([][]byte, len(circs))
+	ebits := make([][]byte, len(circs))
+	for i := range circs {
+		gbits[i] = VecToBits(rng.Vec(ring.New(bits), 2*n), bits)
+		ebits[i] = VecToBits(rng.Vec(ring.New(bits), n), bits)
+	}
+	run := func(workers int) ([][]byte, [][]byte) {
+		ca, cb := transport.Pipe()
+		defer ca.Close()
+		log := &sendLog{Conn: ca}
+		var (
+			g    *Garbler
+			gerr error
+			wg   sync.WaitGroup
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, gerr = NewGarbler(log, 99, prg.New(prg.SeedFromInt(1)))
+		}()
+		e, eerr := NewEvaluator(cb, 99, prg.New(prg.SeedFromInt(2)))
+		wg.Wait()
+		if gerr != nil || eerr != nil {
+			t.Fatalf("setup: %v %v", gerr, eerr)
+		}
+		g.SetWorkers(workers)
+		e.SetWorkers(workers)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gerr = g.RunBatch(circs, gbits)
+		}()
+		outs, eerr := e.RunBatch(circs, ebits)
+		wg.Wait()
+		if gerr != nil || eerr != nil {
+			t.Fatalf("workers=%d: %v %v", workers, gerr, eerr)
+		}
+		return log.flights, outs
+	}
+	seqFlights, seqOuts := run(1)
+	parFlights, parOuts := run(8)
+	if len(seqFlights) != len(parFlights) {
+		t.Fatalf("garbler sent %d flights at 1 worker, %d at 8", len(seqFlights), len(parFlights))
+	}
+	for i := range seqFlights {
+		if !bytes.Equal(seqFlights[i], parFlights[i]) {
+			t.Errorf("garbler flight %d differs between 1 and 8 workers", i)
+		}
+	}
+	for i := range seqOuts {
+		if !bytes.Equal(seqOuts[i], parOuts[i]) {
+			t.Errorf("circuit %d: evaluator outputs differ between 1 and 8 workers", i)
+		}
 	}
 }

@@ -239,6 +239,14 @@ func (b *ReceiverBlock) Count() int { return b.m }
 // compute the same bytes only for v equal to its choice at j. Safe for
 // concurrent use, so payload derivation can fan out across OT indices.
 func (b *SenderBlock) Pad(j, v int, nbytes int) []byte {
+	out := make([]byte, nbytes)
+	b.PadXOR(out, j, v)
+	return out
+}
+
+// PadXOR XORs the len(dst)-byte pad Pad(j, v, len(dst)) into dst without
+// allocating. Safe for concurrent use.
+func (b *SenderBlock) PadXOR(dst []byte, j, v int) {
 	if j < 0 || j >= b.m {
 		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, b.m))
 	}
@@ -252,19 +260,26 @@ func (b *SenderBlock) Pad(j, v int, nbytes int) []byte {
 	for k := range row {
 		ps.masked[k] = row[k] ^ (ps.code[k] & sbits[k])
 	}
-	out := oracle.Hash(b.s.session, b.base+uint64(j), 0, ps.masked, nbytes)
+	oracle.HashXOR(dst, b.s.session, b.base+uint64(j), 0, ps.masked)
 	b.scratch.Put(ps)
-	return out
 }
 
 // Pad returns nbytes of pad material for OT index j, valid for the choice
 // the receiver made at that index: H(session, counter_j, t_j). Safe for
 // concurrent use (the block is read-only after Extend).
 func (b *ReceiverBlock) Pad(j, nbytes int) []byte {
+	out := make([]byte, nbytes)
+	b.PadXOR(out, j)
+	return out
+}
+
+// PadXOR XORs the len(dst)-byte pad Pad(j, len(dst)) into dst without
+// allocating. Safe for concurrent use.
+func (b *ReceiverBlock) PadXOR(dst []byte, j int) {
 	if j < 0 || j >= b.m {
 		panic(fmt.Sprintf("otext: pad index %d out of range [0,%d)", j, b.m))
 	}
-	return oracle.Hash(b.r.session, b.base+uint64(j), 0, b.t.Row(j), nbytes)
+	oracle.HashXOR(dst, b.r.session, b.base+uint64(j), 0, b.t.Row(j))
 }
 
 // Choice returns the receiver's choice at index j.

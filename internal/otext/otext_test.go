@@ -123,6 +123,51 @@ func TestPadAgreement1of2(t *testing.T) {
 	}
 }
 
+// The XOR-into forms must add exactly Pad's bytes to dst, for every pad
+// width a caller uses (ring elements, labels, and multi-block pads).
+func TestPadXORMatchesPad(t *testing.T) {
+	snd, rcv, _, done := setupPair(t, WalshHadamardCode(4))
+	defer done()
+	choices := []int{0, 3, 1, 2, 2}
+	var (
+		sb  *SenderBlock
+		err error
+		wg  sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sb, err = snd.Extend(len(choices))
+	}()
+	rb, rerr := rcv.Extend(choices)
+	wg.Wait()
+	if err != nil || rerr != nil {
+		t.Fatalf("extend: %v %v", err, rerr)
+	}
+	g := prg.New(prg.SeedFromInt(9))
+	for _, n := range []int{8, 16, 20, 128} {
+		for j, c := range choices {
+			for v := 0; v < 4; v++ {
+				dst := g.Bytes(n)
+				want := prg.XORBytes(make([]byte, n), dst, sb.Pad(j, v, n))
+				sb.PadXOR(dst, j, v)
+				if !bytes.Equal(dst, want) {
+					t.Fatalf("n=%d OT %d v=%d: SenderBlock.PadXOR diverged from Pad", n, j, v)
+				}
+			}
+			dst := g.Bytes(n)
+			want := prg.XORBytes(make([]byte, n), dst, rb.Pad(j, n))
+			rb.PadXOR(dst, j)
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("n=%d OT %d: ReceiverBlock.PadXOR diverged from Pad", n, j)
+			}
+			if !bytes.Equal(rb.Pad(j, n), sb.Pad(j, c, n)) {
+				t.Fatalf("n=%d OT %d: pads disagree for the chosen value", n, j)
+			}
+		}
+	}
+}
+
 func TestPadAgreement1ofN(t *testing.T) {
 	for _, n := range []int{4, 16, 256} {
 		snd, rcv, _, done := setupPair(t, WalshHadamardCode(n))

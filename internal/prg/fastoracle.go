@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -52,13 +53,20 @@ func NewFastOracle(label string) *FastOracle {
 
 // Hash returns n oracle bytes for the query (session, index, tweak, data).
 func (o *FastOracle) Hash(session, index, tweak uint64, data []byte, n int) []byte {
+	out := make([]byte, n)
+	o.HashXOR(out, session, index, tweak, data)
+	return out
+}
+
+// HashXOR XORs the first len(dst) oracle bytes for the query (session,
+// index, tweak, data) into dst: dst ^= Hash(session, index, tweak, data,
+// len(dst)), without allocating. Safe for concurrent use.
+func (o *FastOracle) HashXOR(dst []byte, session, index, tweak uint64, data []byte) {
 	s, _ := o.scratch.Get().(*oracleScratch)
 	if s == nil {
 		s = new(oracleScratch)
 	}
-	for i := range s.h {
-		s.h[i] = 0
-	}
+	clear(s.h[:])
 	// Header blocks.
 	binary.LittleEndian.PutUint64(s.b[0:], session)
 	binary.LittleEndian.PutUint64(s.b[8:], index)
@@ -72,34 +80,40 @@ func (o *FastOracle) Hash(session, index, tweak uint64, data []byte, n int) []by
 		o.absorb(s)
 	}
 	if tail := len(data) % 16; tail != 0 {
-		for i := range s.b {
-			s.b[i] = 0
-		}
+		clear(s.b[:])
 		copy(s.b[:], data[len(data)-tail:])
 		o.absorb(s)
 	}
 	// Finalisation block (domain-separates absorb from expand).
-	for i := range s.b {
-		s.b[i] = 0
-	}
+	clear(s.b[:])
 	s.b[15] = 0xA5
 	o.absorb(s)
-	// Expand.
-	out := make([]byte, (n+15)&^15)
-	for i := 0; i*16 < n; i++ {
+	// Expand: block i is pi(h XOR tau_i) XOR h; a short last block is
+	// truncated.
+	for i := 0; i*16 < len(dst); i++ {
 		binary.LittleEndian.PutUint64(s.x[0:], uint64(i)^binary.LittleEndian.Uint64(s.h[0:8]))
 		binary.LittleEndian.PutUint64(s.x[8:], binary.LittleEndian.Uint64(s.h[8:16]))
 		s.x[15] ^= 0xEE
 		o.block.Encrypt(s.e[:], s.x[:])
-		XORBytes(out[i*16:(i+1)*16], s.e[:], s.h[:])
+		xorBlock(&s.e, &s.e, &s.h)
+		if out := dst[i*16:]; len(out) >= 16 {
+			xorBlock((*[16]byte)(out), (*[16]byte)(out), &s.e)
+		} else {
+			subtle.XORBytes(out, out, s.e[:])
+		}
 	}
 	o.scratch.Put(s)
-	return out[:n]
 }
 
 // absorb updates h <- pi(h XOR b) XOR h XOR b, consuming s.b.
 func (o *FastOracle) absorb(s *oracleScratch) {
-	XORBytes(s.x[:], s.h[:], s.b[:])
+	xorBlock(&s.x, &s.h, &s.b)
 	o.block.Encrypt(s.e[:], s.x[:])
-	XORBytes(s.h[:], s.e[:], s.x[:])
+	xorBlock(&s.h, &s.e, &s.x)
+}
+
+// xorBlock sets dst = a XOR b for one 16-byte block, two words at a time.
+func xorBlock(dst, a, b *[16]byte) {
+	binary.LittleEndian.PutUint64(dst[0:], binary.LittleEndian.Uint64(a[0:])^binary.LittleEndian.Uint64(b[0:]))
+	binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(a[8:])^binary.LittleEndian.Uint64(b[8:]))
 }

@@ -2,6 +2,7 @@ package prg
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 )
 
@@ -71,8 +72,6 @@ func XORBytes(dst, a, b []byte) []byte {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic("prg: XORBytes length mismatch")
 	}
-	for i := range dst {
-		dst[i] = a[i] ^ b[i]
-	}
+	subtle.XORBytes(dst, a, b)
 	return dst
 }

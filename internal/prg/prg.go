@@ -99,21 +99,34 @@ func (g *PRG) Elem(r ring.Ring) ring.Elem {
 // Vec samples a uniform n-element vector over r.
 func (g *PRG) Vec(r ring.Ring, n int) ring.Vec {
 	v := make(ring.Vec, n)
-	mask := r.Mask()
-	for i := range v {
-		v[i] = g.Uint64() & mask
-	}
+	g.fillElems(v, r.Mask())
 	return v
 }
 
 // Mat samples a uniform rows x cols matrix over r.
 func (g *PRG) Mat(r ring.Ring, rows, cols int) *ring.Mat {
 	m := ring.NewMat(rows, cols)
-	mask := r.Mask()
-	for i := range m.Data {
-		m.Data[i] = g.Uint64() & mask
-	}
+	g.fillElems(m.Data, r.Mask())
 	return m
+}
+
+// fillElems sets dst[i] to the i-th little-endian 64-bit word of the
+// stream, masked: the same values len(dst) successive Uint64 calls
+// return, drawn a bounded buffer at a time instead of one 8-byte CTR
+// call per element.
+func (g *PRG) fillElems(dst ring.Vec, mask uint64) {
+	const maxChunk = 512 // elements per keystream call
+	buf := make([]byte, 8*min(len(dst), maxChunk))
+	for len(dst) > 0 {
+		k := min(len(dst), maxChunk)
+		chunk := buf[:8*k]
+		clear(chunk)
+		g.stream.XORKeyStream(chunk, chunk)
+		for i := 0; i < k; i++ {
+			dst[i] = binary.LittleEndian.Uint64(chunk[8*i:]) & mask
+		}
+		dst = dst[k:]
+	}
 }
 
 // Intn returns a pseudorandom value in [0, n). n must be positive.

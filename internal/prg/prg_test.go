@@ -68,6 +68,37 @@ func TestVecAndMatShapes(t *testing.T) {
 	}
 }
 
+// Vec and Mat draw the stream in bulk; element i must still be the i-th
+// Uint64 draw, masked, across the bulk-draw chunk boundary.
+func TestVecAndMatMatchSequentialDraws(t *testing.T) {
+	r := ring.New(20)
+	for _, n := range []int{0, 1, 3, 511, 512, 513, 1500} {
+		seq := New(SeedFromInt(uint64(n)))
+		want := make(ring.Vec, n)
+		for i := range want {
+			want[i] = seq.Uint64() & r.Mask()
+		}
+		// The stream must also resume where the bulk draw stopped.
+		tail := seq.Uint64()
+		bulk := New(SeedFromInt(uint64(n)))
+		got := bulk.Vec(r, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: Vec[%d] = %d, want %d", n, i, got[i], want[i])
+			}
+		}
+		if next := bulk.Uint64(); next != tail {
+			t.Fatalf("n=%d: draw after Vec = %d, want %d", n, next, tail)
+		}
+		m := New(SeedFromInt(uint64(n))).Mat(r, 1, n)
+		for i := range want {
+			if m.Data[i] != want[i] {
+				t.Fatalf("n=%d: Mat[%d] = %d, want %d", n, i, m.Data[i], want[i])
+			}
+		}
+	}
+}
+
 func TestIntnBoundsAndUniformity(t *testing.T) {
 	g := New(SeedFromInt(8))
 	counts := make([]int, 5)
@@ -194,6 +225,21 @@ func TestFastOraclePrefixConsistent(t *testing.T) {
 	short := o.Hash(1, 2, 3, []byte("x"), 32)
 	if !bytes.Equal(long[:32], short) {
 		t.Fatal("expansion not prefix-consistent")
+	}
+}
+
+// HashXOR must XOR exactly Hash's bytes into dst, including a short
+// last expansion block.
+func TestFastOracleHashXORMatchesHash(t *testing.T) {
+	o := NewFastOracle("t")
+	data := []byte("twenty-three byte input")
+	for _, n := range []int{0, 5, 16, 20, 37, 64} {
+		dst := New(SeedFromInt(uint64(n))).Bytes(n)
+		want := XORBytes(make([]byte, n), dst, o.Hash(4, 5, 6, data, n))
+		o.HashXOR(dst, 4, 5, 6, data)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("n=%d: HashXOR diverged from Hash", n)
+		}
 	}
 }
 
